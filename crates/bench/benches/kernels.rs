@@ -392,6 +392,28 @@ fn bench_substrates(h: &mut Harness) {
         );
     }
 
+    // The walking shared medium: one simulated second of the same
+    // 256-session population crossing `mobility_medium`'s two cells, as
+    // `run_mobility_cell` builds it. Exercises mobility ticks, handover
+    // and the fill-order rebuild that `mediumsim_32c_1s`'s parked
+    // single-cell clients never reach. Setup is untimed.
+    h.bench_sim(
+        "mobility_256c_1s",
+        1.0,
+        || {
+            let spec = marsim::FleetSpec::mar_default(256);
+            let sessions = spec.sessions(17);
+            let mut params =
+                marsim::fleet::mar_cluster(spec.link, edgelink::RoutePolicy::ShortestQueue);
+            params.radio = edgelink::ClusterRadio::Shared(marsim::fleet::mobility_medium());
+            edgelink::ClusterSim::new(params, sessions, spec.queue)
+        },
+        |mut sim| {
+            sim.run_for_secs(1.0);
+            black_box((sim.metrics().completed(), sim.handovers()))
+        },
+    );
+
     // The same 256-session cluster second with the streaming aggregator
     // attached: fleet-scale observability cost with memory bounded by
     // the aggregator's configuration, not by the event count.

@@ -1,29 +1,42 @@
 #!/usr/bin/env bash
 # Runs the kernels bench and records the medians at the repo root as
 # BENCH_kernels.json (JSON lines, one object per bench) — the tracked
-# perf baseline the ISSUE/EXPERIMENTS numbers refer to.
+# perf baseline the EXPERIMENTS numbers refer to — or in the file named
+# by --out.
 #
 # Usage:
-#   scripts/bench.sh            # full run (15 samples per bench)
-#   scripts/bench.sh --smoke    # tiny sample counts, for CI smoke checks
-#   scripts/bench.sh gp_fit     # only benches whose name contains gp_fit
+#   scripts/bench.sh                 # full run (15 samples per bench)
+#   scripts/bench.sh --smoke         # tiny sample counts, for CI smoke checks
+#   scripts/bench.sh gp_fit          # only benches whose name contains gp_fit
+#   scripts/bench.sh --out PATH ...  # write PATH instead of BENCH_kernels.json
 #
-# Extra arguments are forwarded to the bench binary (see
+# Other arguments are forwarded to the bench binary (see
 # hbo_bench::harness::Harness::from_args).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ARGS=()
-if [[ "${1:-}" == "--smoke" ]]; then
-  shift
-  ARGS+=(--samples 3 --warmup 1)
-fi
-
 OUT=BENCH_kernels.json
+ARGS=()
+# A bare argument is a bench-name filter; a filtered run skips the
+# required-rows check below.
+FILTERED=0
+while [[ $# -gt 0 ]]; do
+  case "$1" in
+    --smoke) ARGS+=(--samples 3 --warmup 1); shift ;;
+    --out|--samples|--warmup)
+      [[ $# -ge 2 ]] || { echo "error: $1 needs a value" >&2; exit 2; }
+      if [[ "$1" == --out ]]; then OUT="$2"; else ARGS+=("$1" "$2"); fi
+      shift 2 ;;
+    --*) ARGS+=("$1"); shift ;;
+    *) ARGS+=("$1"); FILTERED=1; shift ;;
+  esac
+done
+set -- "${ARGS[@]}"
+
 # Bench prints one JSON line per bench on stdout; keep only those (cargo
 # may interleave its own progress on stderr, which tee would not catch
 # anyway, but a belt-and-suspenders filter keeps the file parseable).
-cargo bench -q --offline -p hbo-bench --bench kernels -- "${ARGS[@]}" "$@" \
+cargo bench -q --offline -p hbo-bench --bench kernels -- "$@" \
   | grep '^{' > "$OUT"
 
 if [[ ! -s "$OUT" ]]; then
@@ -34,8 +47,6 @@ fi
 # Validate every line parses as JSON with the fields the tooling reads.
 # An unfiltered run must also carry the sims-per-wall-second headline rows
 # for the DES simulators under both future-event-list implementations.
-FILTERED=0
-for a in "$@"; do [[ "$a" == --* ]] || FILTERED=1; done
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$OUT" "$FILTERED" <<'EOF'
 import json, sys
@@ -58,6 +69,7 @@ if sys.argv[2] == "0":
         "fleet_256c_1s",
         "fleet_256c_1s_calendar",
         "fleet_256c_agg_1s",
+        "mobility_256c_1s",
     )
     for bench in required:
         row = rows.get(bench)
