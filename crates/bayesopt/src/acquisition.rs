@@ -80,68 +80,6 @@ impl Acquisition {
             Acquisition::LowerConfidenceBound { kappa } => -(mu - kappa * sigma),
         }
     }
-
-    /// The smallest posterior mean that provably cannot beat `best_score`:
-    /// for Expected Improvement, every candidate whose mean is at least
-    /// the returned threshold satisfies `score(mu, var, f_best) ≤
-    /// best_score` for *any* variance in `[0, var_ub]`. The pruning pass
-    /// pairs this with [`crate::GaussianProcess::mu_lower_bound`] to skip
-    /// full kernel evaluation for hopeless candidates.
-    ///
-    /// Returns `f64::INFINITY` (prune nothing) for the other acquisition
-    /// variants and for any input where a conservative threshold cannot be
-    /// established.
-    ///
-    /// Why it is safe: EI factors as `σ · h(u)` with
-    /// `h(u) = u·Φ(u) + φ(u)` strictly increasing and
-    /// `u = (f_best − mu − ξ)/σ`. EI is also non-decreasing in `σ`
-    /// (`∂EI/∂σ = φ(u) ≥ 0`), so bounding with `σ_ub = √var_ub` is
-    /// conservative. Bisection maintains `h(lo) ≤ best_score/σ_ub` — only
-    /// the verified end of the bracket is returned — hence `mu ≥
-    /// f_best − ξ − σ_ub·lo` implies `u ≤ lo` and
-    /// `EI ≤ σ_ub·h(lo) ≤ best_score`. Because `h(u) ≥ max(u, 0)`, the
-    /// same threshold also covers `score`'s degenerate `σ < 1e-12` branch
-    /// (`max(f_best − mu − ξ, 0)`).
-    pub fn prune_threshold(&self, var_ub: f64, f_best: f64, best_score: f64) -> f64 {
-        let Acquisition::ExpectedImprovement { xi } = *self else {
-            return f64::INFINITY;
-        };
-        if !(best_score.is_finite() && best_score >= 0.0)
-            || !(var_ub.is_finite() && var_ub >= 0.0)
-            || !f_best.is_finite()
-        {
-            return f64::INFINITY;
-        }
-        let sigma = var_ub.sqrt();
-        if sigma < 1e-12 {
-            // Every candidate hits the degenerate branch: the score is
-            // exactly max(f_best − mu − ξ, 0).
-            return f_best - xi - best_score;
-        }
-        let target = best_score / sigma;
-        let h = |u: f64| u * normal_cdf(u) + normal_pdf(u);
-        // h(−40) is astronomically small; if even that exceeds the target
-        // (best_score ≈ 0 with a huge σ_ub), give up rather than chase it.
-        let mut lo = -40.0;
-        if h(lo) > target {
-            return f64::INFINITY;
-        }
-        // h(u) ≥ u, so hi > target brackets from above; the max(2, ·)
-        // keeps the bracket sane for tiny targets.
-        let mut hi = (1.1 * target + 2.0).max(2.0);
-        if h(hi) <= target {
-            return f64::INFINITY; // broken bracket: refuse to prune
-        }
-        for _ in 0..64 {
-            let mid = 0.5 * (lo + hi);
-            if h(mid) <= target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        f_best - xi - sigma * lo
-    }
 }
 
 #[cfg(test)]
@@ -222,62 +160,6 @@ mod tests {
                 Ok(())
             },
         );
-    }
-
-    #[test]
-    fn prune_threshold_is_conservative_for_ei() {
-        // Any candidate mean at or above the threshold must score no
-        // better than best_score — for every variance up to var_ub,
-        // including the degenerate σ ≈ 0 branch.
-        check::check(
-            "prune_threshold_is_conservative_for_ei",
-            (
-                f64s(-3.0..3.0), // f_best
-                f64s(0.0..4.0),  // var_ub
-                f64s(0.0..2.0),  // best_score
-                f64s(0.0..5.0),  // mean offset above the threshold
-                f64s(0.0..1.0),  // variance fraction of var_ub
-            ),
-            |&(f_best, var_ub, best_score, above, var_frac)| {
-                let acq = Acquisition::default();
-                let t = acq.prune_threshold(var_ub, f_best, best_score);
-                if !t.is_finite() {
-                    return Ok(()); // "never prune" is always safe
-                }
-                let mu = t + above;
-                for var in [0.0, var_frac * var_ub, var_ub] {
-                    let s = acq.score(mu, var, f_best);
-                    prop_assert!(
-                        s <= best_score + 1e-9,
-                        "mu {mu} var {var}: score {s} beats best {best_score} \
-                         past threshold {t}"
-                    );
-                }
-                Ok(())
-            },
-        );
-    }
-
-    #[test]
-    fn prune_threshold_is_not_vacuous() {
-        // A realistic mid-optimization state must produce a finite
-        // threshold that actually admits the good candidates.
-        let acq = Acquisition::default();
-        let t = acq.prune_threshold(0.04, 0.5, 0.05);
-        assert!(t.is_finite());
-        // A mean clearly below f_best still scores above 0.05 and must
-        // not be pruned.
-        assert!(t > 0.3, "threshold {t} prunes promising candidates");
-    }
-
-    #[test]
-    fn prune_threshold_refuses_non_ei_variants() {
-        for acq in [
-            Acquisition::ProbabilityOfImprovement { xi: 0.01 },
-            Acquisition::LowerConfidenceBound { kappa: 1.0 },
-        ] {
-            assert_eq!(acq.prune_threshold(1.0, 0.5, 0.1), f64::INFINITY);
-        }
     }
 
     #[test]

@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod acquisition;
-pub mod fastexp;
 pub mod gp;
 pub mod kernel;
 pub mod linalg;
@@ -49,7 +48,7 @@ mod optimizer;
 pub mod space;
 
 pub use acquisition::Acquisition;
-pub use gp::{GaussianProcess, PruneBounds};
+pub use gp::GaussianProcess;
 pub use kernel::Kernel;
 pub use optimizer::{BoConfig, BoOptimizer};
 pub use space::SampleSpace;

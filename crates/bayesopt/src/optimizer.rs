@@ -5,22 +5,9 @@ use simcore::trace::{ArgValue, Tracer, TrackId};
 use simcore::SimTime;
 
 use crate::acquisition::Acquisition;
-use crate::gp::{GaussianProcess, PruneBounds};
+use crate::gp::GaussianProcess;
 use crate::kernel::Kernel;
 use crate::space::SampleSpace;
-
-/// Grid cells of the tabulated kernel bounds the pruned scan uses.
-const PRUNE_CELLS: usize = 256;
-
-/// The prune table covers distances up to this many length scales; the
-/// kernels are ≈ 0 beyond it, and the bracket falls back to `[0, k(r_max)]`
-/// there anyway.
-const PRUNE_RANGE_SCALES: f64 = 8.0;
-
-/// Candidates per pruned-scan block: survivors of the bound checks are
-/// batch-predicted block by block, and the skip threshold advances at
-/// block boundaries.
-const SCAN_BLOCK: usize = 64;
 
 /// Configuration of a [`BoOptimizer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,21 +26,6 @@ pub struct BoConfig {
     pub n_local: usize,
     /// Width of the local perturbations.
     pub local_scale: f64,
-    /// Worker threads for the acquisition-scoring pass (1 = serial). The
-    /// score of a candidate is a pure function of the candidate and the
-    /// fitted surrogate, and [`simcore::pool`] returns results in input
-    /// order, so any thread count produces bit-identical suggestions.
-    pub threads: usize,
-    /// Candidate pruning for the serial scoring pass: skip the full
-    /// posterior for candidates whose cheap mean lower bound
-    /// ([`GaussianProcess::mu_lower_bound`]) proves they cannot beat the
-    /// running best acquisition score. Suggestions are bit-identical with
-    /// pruning on or off (the strictly-greater argmax would discard those
-    /// candidates anyway), but the default stays `false` so every pinned
-    /// figure stream runs the historical code path. Only EI supports a
-    /// prune threshold, and only `threads == 1` scans serially; in any
-    /// other configuration the flag is ignored.
-    pub prune: bool,
 }
 
 impl Default for BoConfig {
@@ -66,8 +38,6 @@ impl Default for BoConfig {
             n_candidates: 1024,
             n_local: 256,
             local_scale: 0.15,
-            threads: 1,
-            prune: false,
         }
     }
 }
@@ -76,13 +46,12 @@ impl BoConfig {
     /// The configuration a warm-started session refines a cached converged
     /// configuration with: the design already contains a near-optimal
     /// seed, so the acquisition pass needs only a local refinement cloud —
-    /// 4× fewer candidates than the cold default — plus candidate pruning.
-    /// Cold (pinned) paths never use this.
+    /// 4× fewer candidates than the cold default. Cold (pinned) paths
+    /// never use this.
     pub fn warm_default() -> Self {
         BoConfig {
             n_candidates: 256,
             n_local: 64,
-            prune: true,
             ..BoConfig::default()
         }
     }
@@ -101,12 +70,6 @@ pub struct BoOptimizer<S> {
     config: BoConfig,
     observations: Vec<(Vec<f64>, f64)>,
     surrogate: GaussianProcess,
-    /// Tabulated kernel bounds for the pruned scan, built lazily on the
-    /// first pruned suggest (the kernel never changes over an optimizer's
-    /// lifetime, so the table survives [`Self::reset`]).
-    prune_bounds: Option<PruneBounds>,
-    /// Candidates the pruned scan skipped since construction.
-    prune_skips: u64,
     tracer: Tracer,
     trace_track: Option<TrackId>,
     trace_now: SimTime,
@@ -128,8 +91,6 @@ impl<S: SampleSpace> BoOptimizer<S> {
             config,
             observations: Vec::new(),
             surrogate: GaussianProcess::new(config.kernel, config.noise_var),
-            prune_bounds: None,
-            prune_skips: 0,
             tracer: Tracer::disabled(),
             trace_track: None,
             trace_now: SimTime::ZERO,
@@ -234,29 +195,13 @@ impl<S: SampleSpace> BoOptimizer<S> {
             });
         }
         let acquisition = self.config.acquisition;
-        let (best_idx, best_score) = if self.config.prune && self.config.threads <= 1 {
-            self.scan_pruned(&candidates, f_best)
-        } else if self.config.threads > 1 {
-            // Each score is a pure function of its candidate and the
-            // (immutable) fitted surrogate, and pool::map returns results
-            // in input order — so the fan-out is order-independent by
-            // construction and bit-identical to the serial pass.
-            let surrogate = &self.surrogate;
-            let scores =
-                simcore::pool::map_chunked(self.config.threads, 64, &candidates, |_, z| {
-                    let (mu, var) = surrogate.predict(z);
-                    acquisition.score(mu, var, f_best)
-                });
-            argmax_strict(&scores)
-        } else {
-            let scores: Vec<f64> = self
-                .surrogate
-                .predict_batch(&candidates)
-                .into_iter()
-                .map(|(mu, var)| acquisition.score(mu, var, f_best))
-                .collect();
-            argmax_strict(&scores)
-        };
+        let scores: Vec<f64> = self
+            .surrogate
+            .predict_batch(&candidates)
+            .into_iter()
+            .map(|(mu, var)| acquisition.score(mu, var, f_best))
+            .collect();
+        let (best_idx, best_score) = argmax_strict(&scores);
         self.trace_span(
             "score",
             &[
@@ -267,111 +212,6 @@ impl<S: SampleSpace> BoOptimizer<S> {
         let chosen = candidates.swap_remove(best_idx);
         self.trace_instant("chosen", &chosen, best_score);
         chosen
-    }
-
-    /// The serial acquisition scan with candidate pruning: before paying
-    /// for a candidate's full posterior (one `exp` per observation plus a
-    /// triangular solve), run two escalating bound checks built from the
-    /// tabulated kernel brackets:
-    ///
-    /// 1. a transcendental-free lower bound on the posterior mean against
-    ///    the EI threshold above which no variance up to the prior can
-    ///    beat the running best score, and
-    /// 2. for candidates that survive, the acquisition evaluated at
-    ///    `(mu lower bound, per-candidate variance upper bound)` — EI is
-    ///    monotone decreasing in the mean and increasing in the variance,
-    ///    so this is a per-candidate score ceiling at the cost of a single
-    ///    `Φ`/`φ` pair (the per-candidate variance bound conditions on the
-    ///    nearest observation and is far tighter than the prior near the
-    ///    sampled region).
-    ///
-    /// Survivors of both checks are scored through
-    /// [`GaussianProcess::predict_batch`] in blocks, keeping the batch
-    /// path's buffer reuse and multi-RHS solve; skip decisions within a
-    /// block use the running best from the previous block boundary, which
-    /// is only ever *more* conservative. A skipped candidate provably
-    /// scores no higher than the running best, the batch predictor is
-    /// bit-identical to the scalar one, and the strictly-greater argmax
-    /// keeps the earlier index on ties — so the chosen candidate is
-    /// bit-identical to the full scan's.
-    ///
-    /// Returns `(best index, best score)`.
-    fn scan_pruned(&mut self, candidates: &[Vec<f64>], f_best: f64) -> (usize, f64) {
-        if self.prune_bounds.is_none() {
-            let kernel = *self.surrogate.kernel();
-            self.prune_bounds = Some(PruneBounds::new(
-                &kernel,
-                PRUNE_CELLS,
-                PRUNE_RANGE_SCALES * kernel.length_scale(),
-            ));
-        }
-        // Take the table out so the scan can borrow the surrogate freely.
-        let bounds = self.prune_bounds.take().expect("just built");
-        let acquisition = self.config.acquisition;
-        let var_ub = self.surrogate.variance_upper_bound();
-        let (mu, var) = self.surrogate.predict(&candidates[0]);
-        let mut best_idx = 0;
-        let mut best_score = acquisition.score(mu, var, f_best);
-        let mut threshold = acquisition.prune_threshold(var_ub, f_best, best_score);
-        let mut skips = 0u64;
-        let mut chunk: Vec<&[f64]> = Vec::with_capacity(SCAN_BLOCK);
-        let mut block_bounds: Vec<(f64, f64)> = Vec::with_capacity(SCAN_BLOCK);
-        let mut survivor_cols: Vec<usize> = Vec::with_capacity(SCAN_BLOCK);
-        let mut preds: Vec<(f64, f64)> = Vec::with_capacity(SCAN_BLOCK);
-        for block_start in (1..candidates.len()).step_by(SCAN_BLOCK) {
-            let block_end = (block_start + SCAN_BLOCK).min(candidates.len());
-            chunk.clear();
-            chunk.extend(candidates[block_start..block_end].iter().map(Vec::as_slice));
-            self.surrogate
-                .posterior_bounds_block(&chunk, &bounds, &mut block_bounds);
-            survivor_cols.clear();
-            for (off, &(mu_lb, var_ub_z)) in block_bounds.iter().enumerate() {
-                if mu_lb >= threshold {
-                    skips += 1;
-                    continue;
-                }
-                // Second stage: the per-candidate score ceiling. The 1e-9
-                // inflation absorbs floating-point non-monotonicity of the
-                // score evaluation between the bound point and any
-                // dominated (mu, var) — EI is non-negative, so inflating
-                // the ceiling is always conservative.
-                let ceiling = acquisition.score(mu_lb, var_ub_z.min(var_ub), f_best);
-                if ceiling * (1.0 + 1e-9) < best_score {
-                    skips += 1;
-                    continue;
-                }
-                survivor_cols.push(off);
-            }
-            if survivor_cols.is_empty() {
-                continue;
-            }
-            self.surrogate
-                .predict_block_columns(chunk.len(), &survivor_cols, &mut preds);
-            let mut improved = false;
-            for (&off, &(mu, var)) in survivor_cols.iter().zip(preds.iter()) {
-                let score = acquisition.score(mu, var, f_best);
-                if score > best_score {
-                    best_idx = block_start + off;
-                    best_score = score;
-                    improved = true;
-                }
-            }
-            // A tighter incumbent tightens the threshold too (once per
-            // block: the threshold inversion bisects, so re-running it on
-            // every improvement would dominate the scan).
-            if improved {
-                threshold = acquisition.prune_threshold(var_ub, f_best, best_score);
-            }
-        }
-        self.prune_bounds = Some(bounds);
-        self.prune_skips += skips;
-        (best_idx, best_score)
-    }
-
-    /// Candidates the pruned scan has skipped since construction (0 unless
-    /// [`BoConfig::prune`] is active).
-    pub fn prune_skips(&self) -> u64 {
-        self.prune_skips
     }
 
     /// Emits a zero-duration span on the `bo suggest` track (no-op when the
@@ -446,8 +286,7 @@ impl<S: SampleSpace> BoOptimizer<S> {
 }
 
 /// Index and value of the maximum score, keeping the *first* of tied
-/// values — the tie-breaking rule the pinned suggestion streams (and the
-/// pruned scan's correctness argument) rely on.
+/// values — the tie-breaking rule the pinned suggestion streams rely on.
 fn argmax_strict(scores: &[f64]) -> (usize, f64) {
     let mut best_idx = 0;
     for (i, score) in scores.iter().enumerate().skip(1) {
@@ -593,109 +432,16 @@ mod tests {
         assert_eq!(bo.suggest(&mut actual_rng), expected);
     }
 
-    /// Full BO runs on the HBO simplex with the given config; returns the
-    /// suggested-point stream.
-    #[cfg(not(feature = "fast-exp"))]
-    fn simplex_trace(config: BoConfig, seed: u64, iters: usize) -> Vec<Vec<f64>> {
-        let space = SimplexBoxSpace::new(3, 0.2, 1.0);
-        let mut bo = BoOptimizer::new(space, config);
-        let mut r = rng(seed);
-        let mut trace = Vec::new();
-        for _ in 0..iters {
-            let z = bo.suggest(&mut r);
-            let cost = z[1] - z[3];
-            bo.observe(z.clone(), cost);
-            trace.push(z);
-        }
-        trace
-    }
-
-    // The unpruned serial arm scores through `predict_batch`, which under
-    // `fast-exp` is deliberately a few ULP off the scalar path the pruned
-    // arm uses — so exact equality only holds in the default build.
-    #[cfg(not(feature = "fast-exp"))]
-    #[test]
-    fn pruned_scan_is_bit_identical_to_the_full_scan() {
-        for seed in [3, 21, 99] {
-            let pruned = simplex_trace(
-                BoConfig {
-                    prune: true,
-                    ..BoConfig::default()
-                },
-                seed,
-                12,
-            );
-            let full = simplex_trace(BoConfig::default(), seed, 12);
-            assert_eq!(pruned, full, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn pruning_actually_skips_candidates() {
-        let space = SimplexBoxSpace::new(3, 0.2, 1.0);
-        let mut bo = BoOptimizer::new(
-            space,
-            BoConfig {
-                prune: true,
-                ..BoConfig::default()
-            },
-        );
-        let mut r = rng(21);
-        for _ in 0..12 {
-            let z = bo.suggest(&mut r);
-            let cost = z[1] - z[3];
-            bo.observe(z, cost);
-        }
-        // 7 surrogate-backed suggests × 1280 candidates: a useful fraction
-        // must be pruned, or the fast path is dead weight.
-        let scanned = 7 * 1280;
-        assert!(
-            bo.prune_skips() > scanned / 4,
-            "only {} of {} candidates pruned",
-            bo.prune_skips(),
-            scanned
-        );
-    }
-
     #[test]
     fn warm_default_shrinks_the_candidate_cloud() {
         let warm = BoConfig::warm_default();
         let cold = BoConfig::default();
-        assert!(warm.prune);
         assert_eq!(warm.n_candidates * 4, cold.n_candidates);
         assert_eq!(warm.n_local * 4, cold.n_local);
         // Everything else matches the paper configuration.
         assert_eq!(warm.kernel, cold.kernel);
         assert_eq!(warm.acquisition, cold.acquisition);
         assert_eq!(warm.n_initial, cold.n_initial);
-    }
-
-    #[cfg(not(feature = "fast-exp"))]
-    #[test]
-    fn pooled_scoring_matches_serial_bitwise() {
-        let run = |threads: usize| {
-            let space = SimplexBoxSpace::new(3, 0.2, 1.0);
-            let mut bo = BoOptimizer::new(
-                space,
-                BoConfig {
-                    threads,
-                    ..BoConfig::default()
-                },
-            );
-            let mut r = rng(21);
-            let mut trace = Vec::new();
-            for _ in 0..12 {
-                let z = bo.suggest(&mut r);
-                let cost = z[1] - z[3];
-                bo.observe(z.clone(), cost);
-                trace.push(z);
-            }
-            trace
-        };
-        let serial = run(1);
-        for threads in [2, 4] {
-            assert_eq!(run(threads), serial, "threads = {threads}");
-        }
     }
 
     #[test]

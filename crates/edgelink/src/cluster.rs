@@ -38,7 +38,7 @@
 use simcore::rng::mix;
 use simcore::stats::{LogHistogram, Running};
 use simcore::trace::{Tracer, TrackId};
-use simcore::{QueueKind, Scheduler, SimDuration, SimTime, Simulator};
+use simcore::{Scheduler, SimDuration, SimTime, Simulator};
 
 use crate::link::{plan_transfer, Direction, LinkParams};
 use crate::medium::{Completion, Medium, MediumParams, Mobility};
@@ -425,8 +425,8 @@ impl ClusterSim {
     ///
     /// Panics if the params are invalid or a session departs at or
     /// before it arrives.
-    pub fn new(params: ClusterParams, sessions: Vec<SessionSpec>, queue: QueueKind) -> Self {
-        Self::new_traced(params, sessions, queue, Tracer::disabled())
+    pub fn new(params: ClusterParams, sessions: Vec<SessionSpec>) -> Self {
+        Self::new_traced(params, sessions, Tracer::disabled())
     }
 
     /// Like [`ClusterSim::new`], but with a tracer: each server gets a
@@ -437,14 +437,9 @@ impl ClusterSim {
     /// # Panics
     ///
     /// Same conditions as [`ClusterSim::new`].
-    pub fn new_traced(
-        params: ClusterParams,
-        sessions: Vec<SessionSpec>,
-        queue: QueueKind,
-        tracer: Tracer,
-    ) -> Self {
+    pub fn new_traced(params: ClusterParams, sessions: Vec<SessionSpec>, tracer: Tracer) -> Self {
         params.validate();
-        let mut sim = Simulator::with_queue_kind(queue);
+        let mut sim = Simulator::new();
         let start = sim.now();
         let servers: Vec<ServerState> = params
             .servers
@@ -531,11 +526,6 @@ impl ClusterSim {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
-    }
-
-    /// Which future-event-list implementation this simulator runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.sim.queue_kind()
     }
 
     /// Runs the simulation until `deadline`.
@@ -1209,8 +1199,7 @@ mod tests {
     #[test]
     fn every_policy_completes_round_trips() {
         for policy in RoutePolicy::ALL {
-            let mut sim =
-                ClusterSim::new(two_zone_params(policy), sessions(6, 10.0), QueueKind::Heap);
+            let mut sim = ClusterSim::new(two_zone_params(policy), sessions(6, 10.0));
             sim.run_for_secs(10.0);
             assert!(
                 sim.metrics().completed() > 100,
@@ -1227,8 +1216,7 @@ mod tests {
     fn policies_are_deterministic_across_runs() {
         for policy in RoutePolicy::ALL {
             let run = || {
-                let mut sim =
-                    ClusterSim::new(two_zone_params(policy), sessions(5, 8.0), QueueKind::Heap);
+                let mut sim = ClusterSim::new(two_zone_params(policy), sessions(5, 8.0));
                 sim.run_for_secs(8.0);
                 (
                     sim.metrics().completed(),
@@ -1244,35 +1232,13 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_calendar_agree() {
-        for policy in RoutePolicy::ALL {
-            let run = |queue| {
-                let mut sim = ClusterSim::new(two_zone_params(policy), sessions(5, 8.0), queue);
-                sim.run_for_secs(8.0);
-                (
-                    sim.metrics().completed(),
-                    sim.metrics().submitted,
-                    sim.metrics().dropped,
-                    sim.metrics().mean_ms().map(f64::to_bits),
-                )
-            };
-            assert_eq!(
-                run(QueueKind::Heap),
-                run(QueueKind::Calendar),
-                "{} diverged across queue kinds",
-                policy.name()
-            );
-        }
-    }
-
-    #[test]
     fn locality_avoids_cross_zone_hops_when_it_can() {
         // All sessions in zone 0, servers in both zones: locality must
         // never admit on the zone-1 server while zone 0 has capacity.
         let mut params = two_zone_params(RoutePolicy::Locality);
         params.servers[0].params.queue_capacity = 64;
         let sess: Vec<SessionSpec> = (0..4).map(|i| session(i, 0, 8.0)).collect();
-        let mut sim = ClusterSim::new(params, sess, QueueKind::Heap);
+        let mut sim = ClusterSim::new(params, sess);
         sim.run_for_secs(8.0);
         let (admitted_far, _, _) = sim.server_counters(1);
         assert_eq!(admitted_far, 0, "locality crossed zones needlessly");
@@ -1283,7 +1249,7 @@ mod tests {
     fn round_robin_spreads_offers_evenly() {
         let mut params = two_zone_params(RoutePolicy::RoundRobin);
         params.cross_zone_ms = 0.0;
-        let mut sim = ClusterSim::new(params, sessions(4, 10.0), QueueKind::Heap);
+        let mut sim = ClusterSim::new(params, sessions(4, 10.0));
         sim.run_for_secs(10.0);
         let (a0, _, _) = sim.server_counters(0);
         let (a1, _, _) = sim.server_counters(1);
@@ -1322,7 +1288,7 @@ mod tests {
                 s
             })
             .collect();
-        let mut sim = ClusterSim::new(params, sess, QueueKind::Heap);
+        let mut sim = ClusterSim::new(params, sess);
         sim.run_for_secs(10.0);
         let m = sim.metrics();
         assert!(m.dropped > 0, "expected drops under saturation");
@@ -1347,7 +1313,7 @@ mod tests {
         let mut sess = sessions(3, 4.0);
         sess[1].arrive_secs = 6.0;
         sess[1].depart_secs = 9.0;
-        let mut sim = ClusterSim::new(params, sess, QueueKind::Heap);
+        let mut sim = ClusterSim::new(params, sess);
         sim.run_for_secs(5.0);
         // Sessions 0 and 2 departed at 4 s; session 1 not yet arrived.
         assert_eq!(sim.departed(), 2);
@@ -1374,7 +1340,7 @@ mod tests {
             let run = |order: &[usize]| {
                 let base = sessions(5, 8.0);
                 let sess: Vec<SessionSpec> = order.iter().map(|&i| base[i].clone()).collect();
-                let mut sim = ClusterSim::new(two_zone_params(policy), sess, QueueKind::Heap);
+                let mut sim = ClusterSim::new(two_zone_params(policy), sess);
                 sim.run_for_secs(8.0);
                 let per: Vec<(u64, u64)> = (0..5)
                     .map(|s| (sim.session_completed(s), sim.session_dropped(s)))
@@ -1418,7 +1384,6 @@ mod tests {
         let mut sim = ClusterSim::new(
             shared_params(RoutePolicy::ShortestQueue, 0.0),
             sessions(6, 10.0),
-            QueueKind::Heap,
         );
         sim.run_for_secs(10.0);
         assert!(
@@ -1434,40 +1399,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_radio_heap_and_calendar_agree() {
-        let run = |queue| {
-            let mut sim = ClusterSim::new(
-                shared_params(RoutePolicy::PowerOfTwo, 0.0),
-                sessions(5, 8.0),
-                queue,
-            );
-            sim.run_for_secs(8.0);
-            (
-                sim.metrics().completed(),
-                sim.metrics().submitted,
-                sim.metrics().dropped,
-                sim.metrics().mean_ms().map(f64::to_bits),
-            )
-        };
-        assert_eq!(
-            run(QueueKind::Heap),
-            run(QueueKind::Calendar),
-            "shared cell diverged across queue kinds"
-        );
-    }
-
-    #[test]
     fn shared_radio_preserves_relabeling_invariance() {
         // Placement and walks key off the session seed, not the vector
         // index, so the relabeling guarantee must survive shared cells.
         let run = |order: &[usize]| {
             let base = sessions(5, 8.0);
             let sess: Vec<SessionSpec> = order.iter().map(|&i| base[i].clone()).collect();
-            let mut sim = ClusterSim::new(
-                shared_params(RoutePolicy::ShortestQueue, 0.0),
-                sess,
-                QueueKind::Heap,
-            );
+            let mut sim = ClusterSim::new(shared_params(RoutePolicy::ShortestQueue, 0.0), sess);
             sim.run_for_secs(8.0);
             let per: Vec<u64> = (0..5).map(|s| sim.session_completed(s)).collect();
             (sim.metrics().completed(), per)
@@ -1500,7 +1438,7 @@ mod tests {
             walk_speed_mps: 12.0,
             area_m: 120.0,
         });
-        let mut sim = ClusterSim::new(params, sessions(8, 30.0), QueueKind::Heap);
+        let mut sim = ClusterSim::new(params, sessions(8, 30.0));
         sim.run_for_secs(30.0);
         assert!(
             sim.handovers() > 0,

@@ -24,7 +24,7 @@ use simcore::arena::{Arena, Handle};
 use simcore::rng::mix;
 use simcore::stats::{LogHistogram, Running};
 use simcore::trace::{ArgValue, Tracer, TrackId};
-use simcore::{QueueKind, Scheduler, SimDuration, SimTime, Simulator};
+use simcore::{Scheduler, SimDuration, SimTime, Simulator};
 
 use crate::link::{plan_transfer, ByteCounters, Direction, LinkParams};
 use crate::medium::{Completion, Medium, Mobility, SharedCell};
@@ -281,10 +281,6 @@ impl EdgeSim {
     /// downlink radio and each edge worker lane get their own span track;
     /// the admission queue and rejections are traced as counters.
     ///
-    /// The future-event list is chosen by [`QueueKind::from_env`] (the
-    /// `HBO_EVENT_QUEUE` variable); use
-    /// [`EdgeSim::new_traced_with_queue`] for an explicit choice.
-    ///
     /// # Panics
     ///
     /// Same conditions as [`EdgeSim::new`].
@@ -295,32 +291,7 @@ impl EdgeSim {
         master_seed: u64,
         tracer: Tracer,
     ) -> Self {
-        Self::new_traced_with_queue(
-            link,
-            server,
-            clients,
-            master_seed,
-            tracer,
-            QueueKind::from_env(),
-        )
-    }
-
-    /// [`EdgeSim::new_traced`] with an explicit future-event-list
-    /// implementation. Both kinds produce bit-identical runs; this is a
-    /// performance knob.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`EdgeSim::new`].
-    pub fn new_traced_with_queue(
-        link: LinkParams,
-        server: ServerParams,
-        clients: Vec<ClientSpec>,
-        master_seed: u64,
-        tracer: Tracer,
-        queue: QueueKind,
-    ) -> Self {
-        Self::build(link, server, None, clients, master_seed, tracer, queue)
+        Self::build(link, server, None, clients, master_seed, tracer)
     }
 
     /// Builds a world whose clients share one contended cell instead of
@@ -333,24 +304,15 @@ impl EdgeSim {
     /// # Panics
     ///
     /// Same conditions as [`EdgeSim::new`], plus invalid cell params.
-    pub fn new_shared_traced_with_queue(
+    pub fn new_shared_traced(
         link: LinkParams,
         server: ServerParams,
         cell: SharedCell,
         clients: Vec<ClientSpec>,
         master_seed: u64,
         tracer: Tracer,
-        queue: QueueKind,
     ) -> Self {
-        Self::build(
-            link,
-            server,
-            Some(cell),
-            clients,
-            master_seed,
-            tracer,
-            queue,
-        )
+        Self::build(link, server, Some(cell), clients, master_seed, tracer)
     }
 
     fn build(
@@ -360,11 +322,10 @@ impl EdgeSim {
         clients: Vec<ClientSpec>,
         master_seed: u64,
         tracer: Tracer,
-        queue: QueueKind,
     ) -> Self {
         link.validate();
         assert!(!clients.is_empty(), "need at least one client");
-        let mut sim = Simulator::with_queue_kind(queue);
+        let mut sim = Simulator::new();
         let start = sim.now();
         let mut medium = shared.map(|cell| Medium::new(cell.medium_params()));
         let states: Vec<ClientState> = clients
@@ -444,11 +405,6 @@ impl EdgeSim {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
-    }
-
-    /// Which future-event-list implementation this simulator runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.sim.queue_kind()
     }
 
     /// Runs the simulation until `deadline`.
@@ -1202,15 +1158,14 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    fn shared_sim(n: usize, seed: u64, queue: QueueKind) -> EdgeSim {
-        EdgeSim::new_shared_traced_with_queue(
+    fn shared_sim(n: usize, seed: u64) -> EdgeSim {
+        EdgeSim::new_shared_traced(
             LinkParams::wifi(),
             ServerParams::small(),
             SharedCell::stadium(),
             clients(n),
             seed,
             Tracer::disabled(),
-            queue,
         )
     }
 
@@ -1225,14 +1180,13 @@ mod tests {
         };
         let mut means = Vec::new();
         for n in [1usize, 8, 24] {
-            let mut sim = EdgeSim::new_shared_traced_with_queue(
+            let mut sim = EdgeSim::new_shared_traced(
                 quiet_link(),
                 server,
                 SharedCell::stadium(),
                 clients(n),
                 5,
                 Tracer::disabled(),
-                QueueKind::Heap,
             );
             sim.run_for_secs(20.0);
             let mean = (0..n)
@@ -1248,26 +1202,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_cell_heap_and_calendar_agree() {
-        let run = |queue| {
-            let mut sim = shared_sim(6, 13, queue);
-            sim.run_for_secs(10.0);
-            (0..6)
-                .flat_map(|c| {
-                    sim.metrics(c)
-                        .samples()
-                        .iter()
-                        .map(|&(t, l)| (t, l.to_bits()))
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(QueueKind::Heap), run(QueueKind::Calendar));
-    }
-
-    #[test]
     fn shared_cell_conserves_medium_bytes() {
-        let mut sim = shared_sim(8, 21, QueueKind::Heap);
+        let mut sim = shared_sim(8, 21);
         sim.run_for_secs(12.0);
         let m = sim.medium().expect("shared sim has a medium");
         m.check_invariants();

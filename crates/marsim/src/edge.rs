@@ -32,7 +32,7 @@ use nnmodel::Delegate;
 use simcore::rand::SeedableRng;
 use simcore::rng::mix;
 use simcore::trace::Tracer;
-use simcore::{QueueKind, SimTime};
+use simcore::SimTime;
 
 use crate::app::{task_period_ms, MarApp, TASK_GAP_MS, TASK_JITTER_MS};
 use crate::experiment::{
@@ -208,9 +208,6 @@ pub struct EdgeWorld {
     cum_handovers: u64,
     cum_medium_reallocs: u64,
     edge_peak_queue: usize,
-    /// Future-event-list kind for every per-window [`EdgeSim`], inherited
-    /// from the scenario so the device and edge sims always agree.
-    queue: QueueKind,
 }
 
 impl EdgeWorld {
@@ -263,7 +260,6 @@ impl EdgeWorld {
             cum_handovers: 0,
             cum_medium_reallocs: 0,
             edge_peak_queue: 0,
-            queue: spec.queue,
         }
     }
 
@@ -355,22 +351,20 @@ impl EdgeWorld {
             // radio/lane tracks across windows).
             let window_tracer = self.tracer.offset_by(window_start - SimTime::ZERO);
             let mut esim = match self.edge.shared {
-                None => EdgeSim::new_traced_with_queue(
+                None => EdgeSim::new_traced(
                     self.edge.link,
                     self.edge.server,
                     flows,
                     seed,
                     window_tracer,
-                    self.queue,
                 ),
-                Some(cell) => EdgeSim::new_shared_traced_with_queue(
+                Some(cell) => EdgeSim::new_shared_traced(
                     self.edge.link,
                     self.edge.server,
                     cell,
                     flows,
                     seed,
                     window_tracer,
-                    self.queue,
                 ),
             };
             esim.run_for_secs(secs);

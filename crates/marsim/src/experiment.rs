@@ -227,7 +227,6 @@ pub(crate) fn warm_variant(config: &HboConfig) -> HboConfig {
     let mut out = config.clone();
     out.bo.n_candidates = warm.n_candidates;
     out.bo.n_local = warm.n_local;
-    out.bo.prune = warm.prune;
     // With the incumbent plus a converged seed already observed, long
     // random design is wasted wall-clock: hand over to the surrogate
     // almost immediately.
@@ -263,7 +262,7 @@ pub fn run_hbo_warm(
 ///
 /// On a cache hit the activation observes the cached converged
 /// configuration as a seed window right after the incumbent, switches to
-/// [`BoConfig::warm_default`]'s smaller candidate cloud with pruning, and
+/// [`BoConfig::warm_default`]'s smaller candidate cloud, and
 /// shortens the random design; on a miss it runs the cold config
 /// unchanged. Either way the session's own best is stored back
 /// (better-reward-wins) under the same signature, so later sessions warm

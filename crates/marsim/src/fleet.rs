@@ -34,7 +34,6 @@ use nnmodel::ModelZoo;
 use simcore::rand::{Rng, SeedableRng, StdRng};
 use simcore::rng::mix;
 use simcore::trace::Tracer;
-use simcore::QueueKind;
 use soc::DeviceProfile;
 
 use crate::app::{TASK_GAP_MS, TASK_JITTER_MS};
@@ -86,8 +85,6 @@ pub struct FleetSpec {
     pub server_speedup: f64,
     /// Floor on drawn session lengths, in seconds.
     pub min_session_secs: f64,
-    /// Future-event-list implementation for the cluster simulator.
-    pub queue: QueueKind,
 }
 
 impl FleetSpec {
@@ -133,15 +130,7 @@ impl FleetSpec {
             horizon_secs: 30.0,
             server_speedup: 0.15,
             min_session_secs: 2.0,
-            queue: QueueKind::from_env(),
         }
-    }
-
-    /// Pins the future-event-list implementation, overriding the
-    /// `HBO_EVENT_QUEUE` default.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
     }
 
     /// Sets the simulated horizon.
@@ -359,7 +348,7 @@ pub fn run_fleet_cell_traced(
     let client_windows = spec.client_windows(&sessions);
     let params = mar_cluster(spec.link, policy);
     let server_count = params.servers.len();
-    let mut sim = ClusterSim::new_traced(params, sessions, spec.queue, tracer);
+    let mut sim = ClusterSim::new_traced(params, sessions, tracer);
     sim.run_for_secs(spec.horizon_secs);
     let m = sim.metrics();
     let mut servers = String::from("[");
@@ -448,7 +437,7 @@ pub fn run_mobility_cell_traced(spec: &FleetSpec, seed: u64, tracer: Tracer) -> 
     let session_count = sessions.len();
     let mut params = mar_cluster(spec.link, RoutePolicy::ShortestQueue);
     params.radio = ClusterRadio::Shared(mobility_medium());
-    let mut sim = ClusterSim::new_traced(params, sessions, spec.queue, tracer);
+    let mut sim = ClusterSim::new_traced(params, sessions, tracer);
     sim.run_for_secs(spec.horizon_secs);
     let m = sim.metrics();
     let row = JsonRow::new("stadium_mobility")
@@ -506,7 +495,6 @@ fn plan_scenario(class: &DeviceClass) -> ScenarioSpec {
         tasks: vec![TaskSpec::new(class.model.clone(), 1)],
         user_distance: DEFAULT_USER_DISTANCE,
         edge: None,
-        queue: QueueKind::Heap,
     }
 }
 
@@ -591,9 +579,7 @@ mod tests {
     use super::*;
 
     fn small_spec() -> FleetSpec {
-        FleetSpec::mar_default(12)
-            .with_horizon(5.0)
-            .with_queue(QueueKind::Heap)
+        FleetSpec::mar_default(12).with_horizon(5.0)
     }
 
     #[test]

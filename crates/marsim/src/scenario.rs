@@ -5,7 +5,6 @@ use arscene::scenarios::{sc1_catalog, sc2_catalog, CatalogEntry, DEFAULT_USER_DI
 use arscene::Scene;
 use hbo_core::TaskProfile;
 use nnmodel::ModelZoo;
-use simcore::QueueKind;
 use soc::DeviceProfile;
 
 use crate::edge::EdgeSpec;
@@ -47,11 +46,6 @@ pub struct ScenarioSpec {
     /// When set, [`Self::profiles`] gains an Edge latency per task and
     /// HBO's decision space gains the edge dimension.
     pub edge: Option<EdgeSpec>,
-    /// Future-event-list implementation for every simulator this
-    /// scenario spawns (device SoC and edge world alike). Both kinds are
-    /// bit-identical; the constructors read [`QueueKind::from_env`]
-    /// (`HBO_EVENT_QUEUE`), so the whole stack flips with one variable.
-    pub queue: QueueKind,
 }
 
 /// The CF1 taskset of Table II: six AI tasks (three GPU-affine, three
@@ -85,7 +79,6 @@ impl ScenarioSpec {
             tasks: cf1_tasks(),
             user_distance: DEFAULT_USER_DISTANCE,
             edge: None,
-            queue: QueueKind::from_env(),
         }
     }
 
@@ -98,7 +91,6 @@ impl ScenarioSpec {
             tasks: cf1_tasks(),
             user_distance: DEFAULT_USER_DISTANCE,
             edge: None,
-            queue: QueueKind::from_env(),
         }
     }
 
@@ -111,7 +103,6 @@ impl ScenarioSpec {
             tasks: cf2_tasks(),
             user_distance: DEFAULT_USER_DISTANCE,
             edge: None,
-            queue: QueueKind::from_env(),
         }
     }
 
@@ -124,7 +115,6 @@ impl ScenarioSpec {
             tasks: cf2_tasks(),
             user_distance: DEFAULT_USER_DISTANCE,
             edge: None,
-            queue: QueueKind::from_env(),
         }
     }
 
@@ -180,13 +170,6 @@ impl ScenarioSpec {
     /// Enables edge offloading for this scenario.
     pub fn with_edge(mut self, edge: EdgeSpec) -> Self {
         self.edge = Some(edge);
-        self
-    }
-
-    /// Pins the future-event-list implementation for every simulator this
-    /// scenario spawns, overriding the `HBO_EVENT_QUEUE` default.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 

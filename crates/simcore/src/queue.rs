@@ -1,22 +1,15 @@
 //! Deterministic future-event list and simulation driver.
 //!
-//! Two interchangeable future-event-list implementations live behind the
-//! [`FutureEventList`] trait:
-//!
-//! * [`EventQueue`] — a binary heap, the default.
-//! * [`CalendarQueue`](crate::CalendarQueue) — a bucketed time wheel with
-//!   an overflow list and automatic resize (see `calendar.rs`).
-//!
-//! Both pop in exactly `(time, seq)` order — same-time events fire in
-//! insertion order — so a simulation's event stream, and therefore every
-//! RNG draw and published figure, is bit-identical whichever is selected.
-//! [`Simulator`] picks one at construction via [`QueueKind`]; the
-//! differential suite in `tests/differential.rs` pins the equivalence.
+//! [`EventQueue`] is a binary heap that pops in exactly `(time, seq)`
+//! order — same-time events fire in insertion order — so a simulation's
+//! event stream, and therefore every RNG draw and published figure, is
+//! bit-identical across runs. [`Simulator`] drives one; the model test in
+//! `tests/queue_model.rs` checks the queue against a sorted-`Vec`
+//! reference.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::calendar::CalendarQueue;
 use crate::time::SimTime;
 
 /// An entry in the future-event list.
@@ -52,46 +45,6 @@ impl<E> Ord for Entry<E> {
             .cmp(&self.time)
             .then_with(|| other.seq.cmp(&self.seq))
     }
-}
-
-/// The common contract of every future-event-list implementation.
-///
-/// The invariant every implementor must uphold: entries pop in strictly
-/// increasing `(time, seq)` order, where `seq` is the monotone counter
-/// assigned by [`schedule`](FutureEventList::schedule) — FIFO among
-/// same-time entries. `clear` drops pending events but must NOT reset the
-/// sequence counter: a mid-run clear that re-issued sequence numbers
-/// would silently reorder same-time events against ones scheduled before
-/// the clear was even conceived (regression-tested).
-pub trait FutureEventList<E> {
-    /// Schedules `event` to fire at `time`, assigning it the next
-    /// sequence number.
-    fn schedule(&mut self, time: SimTime, event: E);
-
-    /// Removes and returns the earliest `(time, seq, event)` entry.
-    fn pop_entry(&mut self) -> Option<(SimTime, u64, E)>;
-
-    /// Removes and returns the earliest event, or `None` if empty.
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry().map(|(t, _, e)| (t, e))
-    }
-
-    /// The firing time of the earliest pending event, if any.
-    fn peek_time(&self) -> Option<SimTime>;
-
-    /// Number of pending events.
-    fn len(&self) -> usize;
-
-    /// True if no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all pending events. The sequence counter is preserved.
-    fn clear(&mut self);
-
-    /// The sequence number the next scheduled event will receive.
-    fn next_seq(&self) -> u64;
 }
 
 /// A future-event list: a priority queue of `(SimTime, E)` pairs with
@@ -174,173 +127,11 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E> FutureEventList<E> for EventQueue<E> {
-    fn schedule(&mut self, time: SimTime, event: E) {
-        EventQueue::schedule(self, time, event);
-    }
-
-    fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        EventQueue::pop_entry(self)
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-
-    fn clear(&mut self) {
-        EventQueue::clear(self);
-    }
-
-    fn next_seq(&self) -> u64 {
-        EventQueue::next_seq(self)
-    }
-}
-
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("pending", &self.heap.len())
             .field("next_seq", &self.next_seq)
-            .finish()
-    }
-}
-
-/// Which future-event-list implementation a simulator uses.
-///
-/// The two implementations pop in identical `(time, seq)` order (pinned
-/// by the differential suite), so the choice is a pure performance knob:
-/// pick whichever the kernels bench favors at your event-population
-/// scale. The heap is the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QueueKind {
-    /// Binary-heap [`EventQueue`] — O(log n) schedule/pop, compact,
-    /// fastest at small event populations.
-    #[default]
-    Heap,
-    /// Bucketed time-wheel [`CalendarQueue`](crate::CalendarQueue) —
-    /// amortized O(1) schedule/pop when the width adapts well, built for
-    /// large event populations.
-    Calendar,
-}
-
-impl QueueKind {
-    /// Parses `"heap"` / `"calendar"` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "heap" | "binary-heap" | "binaryheap" => Some(QueueKind::Heap),
-            "calendar" | "calendar-queue" | "calendarqueue" | "wheel" => Some(QueueKind::Calendar),
-            _ => None,
-        }
-    }
-
-    /// The process-wide default, read once from the `HBO_EVENT_QUEUE`
-    /// environment variable (`heap` | `calendar`; unset or unparseable
-    /// means [`QueueKind::Heap`]). The simulation crates (`soc`,
-    /// `edgelink`, `marsim`) construct their simulators with this kind
-    /// unless told otherwise, so one variable flips the whole stack —
-    /// safe because both kinds produce bit-identical event streams.
-    pub fn from_env() -> Self {
-        use std::sync::OnceLock;
-        static KIND: OnceLock<QueueKind> = OnceLock::new();
-        *KIND.get_or_init(|| {
-            std::env::var("HBO_EVENT_QUEUE")
-                .ok()
-                .and_then(|v| QueueKind::parse(&v))
-                .unwrap_or_default()
-        })
-    }
-
-    /// Short lowercase name (`"heap"` / `"calendar"`), as used in bench
-    /// row names.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueKind::Heap => "heap",
-            QueueKind::Calendar => "calendar",
-        }
-    }
-}
-
-/// A future-event list whose implementation is chosen at construction —
-/// the type [`Simulator`] actually holds. One predictable branch per
-/// operation; the underlying queue dominates the cost either way.
-pub enum FutureEvents<E> {
-    /// Binary-heap backed.
-    Heap(EventQueue<E>),
-    /// Calendar-queue backed.
-    Calendar(CalendarQueue<E>),
-}
-
-impl<E> FutureEvents<E> {
-    /// Creates an empty list of the given kind.
-    pub fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Heap => FutureEvents::Heap(EventQueue::new()),
-            QueueKind::Calendar => FutureEvents::Calendar(CalendarQueue::new()),
-        }
-    }
-
-    /// Which implementation this list uses.
-    pub fn kind(&self) -> QueueKind {
-        match self {
-            FutureEvents::Heap(_) => QueueKind::Heap,
-            FutureEvents::Calendar(_) => QueueKind::Calendar,
-        }
-    }
-}
-
-impl<E> FutureEventList<E> for FutureEvents<E> {
-    fn schedule(&mut self, time: SimTime, event: E) {
-        match self {
-            FutureEvents::Heap(q) => q.schedule(time, event),
-            FutureEvents::Calendar(q) => q.schedule(time, event),
-        }
-    }
-
-    fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        match self {
-            FutureEvents::Heap(q) => q.pop_entry(),
-            FutureEvents::Calendar(q) => q.pop_entry(),
-        }
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            FutureEvents::Heap(q) => q.peek_time(),
-            FutureEvents::Calendar(q) => q.peek_time(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            FutureEvents::Heap(q) => q.len(),
-            FutureEvents::Calendar(q) => q.len(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            FutureEvents::Heap(q) => q.clear(),
-            FutureEvents::Calendar(q) => q.clear(),
-        }
-    }
-
-    fn next_seq(&self) -> u64 {
-        match self {
-            FutureEvents::Heap(q) => q.next_seq(),
-            FutureEvents::Calendar(q) => q.next_seq(),
-        }
-    }
-}
-
-impl<E> std::fmt::Debug for FutureEvents<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FutureEvents")
-            .field("kind", &self.kind())
-            .field("pending", &self.len())
             .finish()
     }
 }
@@ -352,7 +143,7 @@ impl<E> std::fmt::Debug for FutureEvents<E> {
 #[derive(Debug)]
 pub struct Scheduler<'a, E> {
     now: SimTime,
-    queue: &'a mut FutureEvents<E>,
+    queue: &'a mut EventQueue<E>,
 }
 
 impl<E> Scheduler<'_, E> {
@@ -385,9 +176,7 @@ impl<E> Scheduler<'_, E> {
 /// them to a handler closure until a deadline or queue exhaustion.
 ///
 /// The world state lives in the handler's environment (typically a struct
-/// the caller owns), keeping `Simulator` free of borrows. The future-event
-/// list implementation is chosen at construction ([`QueueKind`]); both
-/// choices dispatch the exact same event stream.
+/// the caller owns), keeping `Simulator` free of borrows.
 ///
 /// # Example
 ///
@@ -411,7 +200,7 @@ impl<E> Scheduler<'_, E> {
 /// ```
 #[derive(Debug)]
 pub struct Simulator<E> {
-    queue: FutureEvents<E>,
+    queue: EventQueue<E>,
     now: SimTime,
 }
 
@@ -422,24 +211,12 @@ impl<E> Default for Simulator<E> {
 }
 
 impl<E> Simulator<E> {
-    /// Creates a simulator at time zero with an empty heap-backed event
-    /// list (the default kind).
+    /// Creates a simulator at time zero with an empty event list.
     pub fn new() -> Self {
-        Self::with_queue_kind(QueueKind::Heap)
-    }
-
-    /// Creates a simulator at time zero with an event list of the given
-    /// kind.
-    pub fn with_queue_kind(kind: QueueKind) -> Self {
         Simulator {
-            queue: FutureEvents::new(kind),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
         }
-    }
-
-    /// Which future-event-list implementation this simulator runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// Current simulated time.
@@ -553,32 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_kind_parses_and_names() {
-        assert_eq!(QueueKind::parse("heap"), Some(QueueKind::Heap));
-        assert_eq!(QueueKind::parse("Calendar"), Some(QueueKind::Calendar));
-        assert_eq!(QueueKind::parse("nonsense"), None);
-        assert_eq!(QueueKind::Heap.name(), "heap");
-        assert_eq!(QueueKind::Calendar.name(), "calendar");
-        assert_eq!(QueueKind::default(), QueueKind::Heap);
-    }
-
-    #[test]
-    fn future_events_dispatches_both_kinds() {
-        for kind in [QueueKind::Heap, QueueKind::Calendar] {
-            let mut q: FutureEvents<u32> = FutureEvents::new(kind);
-            assert_eq!(q.kind(), kind);
-            q.schedule(SimTime::from_nanos(20), 2);
-            q.schedule(SimTime::from_nanos(10), 1);
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.pop().unwrap().1, 1);
-            assert_eq!(q.pop().unwrap().1, 2);
-            assert!(q.is_empty());
-            assert_eq!(q.next_seq(), 2);
-        }
-    }
-
-    #[test]
     fn simulator_advances_clock_to_deadline() {
         let mut sim: Simulator<()> = Simulator::new();
         sim.schedule(SimTime::from_nanos(10), ());
@@ -615,27 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn simulator_runs_identically_on_the_calendar_queue() {
-        let run = |kind: QueueKind| {
-            let mut sim = Simulator::with_queue_kind(kind);
-            assert_eq!(sim.queue_kind(), kind);
-            sim.schedule(SimTime::ZERO, 0u32);
-            let mut seen = Vec::new();
-            sim.run_until(SimTime::from_secs_f64(10.0), |sched, n| {
-                seen.push((sched.now(), n));
-                if n < 50 {
-                    sched.schedule_after(SimDuration::from_millis_f64(7.0), n + 1);
-                    if n % 5 == 0 {
-                        sched.schedule_after(SimDuration::from_millis_f64(7.0), 1000 + n);
-                    }
-                }
-            });
-            seen
-        };
-        assert_eq!(run(QueueKind::Heap), run(QueueKind::Calendar));
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_the_past_panics() {
         let mut sim = Simulator::new();
@@ -648,7 +378,5 @@ mod tests {
     fn debug_is_nonempty() {
         let q: EventQueue<()> = EventQueue::new();
         assert!(!format!("{q:?}").is_empty());
-        let f: FutureEvents<()> = FutureEvents::new(QueueKind::Calendar);
-        assert!(!format!("{f:?}").is_empty());
     }
 }

@@ -4,7 +4,7 @@
 use simcore::arena::{Arena, Handle};
 use simcore::stats::{LogHistogram, Running};
 use simcore::trace::{ArgValue, Tracer, TrackId};
-use simcore::{QueueKind, SimTime, Simulator};
+use simcore::{SimTime, Simulator};
 
 use crate::job::{SourceId, SourceSpec, Stage, StageSeq, StreamId, StreamSpec};
 use crate::server::{FifoServer, JobKey, Owner, PsServer, ServicePolicy};
@@ -281,17 +281,8 @@ impl std::fmt::Debug for SocSim {
 }
 
 impl SocSim {
-    /// Creates a simulator over `topology` at time zero, with the
-    /// future-event list chosen by [`QueueKind::from_env`] (the
-    /// `HBO_EVENT_QUEUE` variable; heap by default).
+    /// Creates a simulator over `topology` at time zero.
     pub fn new(topology: Topology) -> Self {
-        Self::with_queue(topology, QueueKind::from_env())
-    }
-
-    /// Creates a simulator over `topology` with an explicit future-event
-    /// list implementation. Both kinds produce bit-identical runs; this
-    /// is a performance knob.
-    pub fn with_queue(topology: Topology, queue: QueueKind) -> Self {
         let start = SimTime::ZERO;
         let servers = topology
             .iter()
@@ -302,7 +293,7 @@ impl SocSim {
             .collect();
         let server_count = topology.iter().count();
         SocSim {
-            sim: Simulator::with_queue_kind(queue),
+            sim: Simulator::new(),
             state: SocState {
                 topo: topology,
                 servers,
@@ -315,11 +306,6 @@ impl SocSim {
                 trace: TraceIds::default(),
             },
         }
-    }
-
-    /// Which future-event-list implementation this simulator runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.sim.queue_kind()
     }
 
     /// Installs a tracer and registers one span track per FIFO slot and

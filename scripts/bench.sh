@@ -46,7 +46,7 @@ fi
 
 # Validate every line parses as JSON with the fields the tooling reads.
 # An unfiltered run must also carry the sims-per-wall-second headline rows
-# for the DES simulators under both future-event-list implementations.
+# for every DES simulator.
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$OUT" "$FILTERED" <<'EOF'
 import json, sys
@@ -61,13 +61,10 @@ with open(sys.argv[1]) as f:
 if sys.argv[2] == "0":
     required = (
         "socsim_sc1cf1_1s",
-        "socsim_sc1cf1_1s_calendar",
         "edgesim_8c_1s",
-        "edgesim_8c_1s_calendar",
+        "edgesim_64c_1s",
         "mediumsim_32c_1s",
-        "mediumsim_32c_1s_calendar",
         "fleet_256c_1s",
-        "fleet_256c_1s_calendar",
         "fleet_256c_agg_1s",
         "mobility_256c_1s",
     )
@@ -87,9 +84,9 @@ if sys.argv[2] == "0":
     ):
         if bench not in rows:
             raise SystemExit(f"missing trace overhead row {bench!r}")
-    # The amortized-control-plane rows: pruned and warm-start suggest
-    # variants next to the cold bo_suggest_k20 baseline.
-    for bench in ("bo_suggest_k20", "bo_suggest_pruned_k20", "bo_suggest_warm_k20"):
+    # The amortized-control-plane rows: the warm-start suggest variant
+    # next to the cold bo_suggest_k20 baseline.
+    for bench in ("bo_suggest_k20", "bo_suggest_warm_k20"):
         if bench not in rows:
             raise SystemExit(f"missing BO suggest row {bench!r}")
 print(f"{sys.argv[1]}: {i} benches, all lines parse")
