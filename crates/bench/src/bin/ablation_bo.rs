@@ -16,7 +16,7 @@
 //! on the deterministic parallel runner (`--threads N` / `HBO_THREADS`).
 
 use bayesopt::{Acquisition, BoConfig, Kernel};
-use hbo_bench::{harness, Table};
+use hbo_bench::{cli, harness, Table};
 use hbo_core::HboConfig;
 use marsim::runner::{self, SweepJob, SweepResult};
 use marsim::ScenarioSpec;
@@ -71,8 +71,7 @@ fn with_kernel(kernel: Kernel) -> HboConfig {
 }
 
 fn main() {
-    let threads = runner::threads_from_args();
-
+    let threads = cli::threads_only("ablation_bo [--threads T]");
     let acquisition_variants: Vec<(&str, HboConfig)> = vec![
         (
             "EI (xi=0.01, paper)",

@@ -9,40 +9,21 @@
 //! one-line summary, and exits nonzero when the file is not valid Chrome
 //! trace JSON or a `--require-cat` category has no spans.
 
+use hbo_bench::cli;
 use simcore::trace::chrome_trace_stats;
 
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut path: Option<&str> = None;
-    let mut required: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--require-cat" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(cat) => required.push(cat),
-                    None => {
-                        eprintln!("error: missing value for --require-cat");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other if path.is_none() && !other.starts_with('-') => path = Some(other),
-            other => {
-                eprintln!("error: unexpected argument {other}");
-                eprintln!("usage: check_json PATH [--require-cat CAT]...");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let Some(path) = path else {
-        eprintln!("usage: check_json PATH [--require-cat CAT]...");
-        std::process::exit(2);
-    };
+const USAGE: &str = "check_json PATH [--require-cat CAT]...";
 
-    let text = match std::fs::read_to_string(path) {
+fn main() {
+    let mut args = cli::Args::from_env(USAGE);
+    let required = args.values("--require-cat");
+    let path = args.positional().unwrap_or_else(|| {
+        args.reject("missing PATH");
+        String::new()
+    });
+    args.finish();
+
+    let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("error: cannot read {path}: {e}");
@@ -75,7 +56,7 @@ fn main() {
         cats.join(" ")
     );
     let mut missing = false;
-    for cat in required {
+    for cat in &required {
         if stats.spans_in_cat(cat) == 0 {
             eprintln!("error: no '{cat}' spans in {path}");
             missing = true;

@@ -16,31 +16,24 @@
 //! Chrome trace-event JSON; the emitted rows stay byte-identical, and the
 //! runner report gains the merged telemetry totals across cells.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use hbo_bench::harness;
+use hbo_bench::{cli, harness};
 use hbo_core::HboConfig;
 use marsim::edge::sweep_cell_traced;
-use marsim::runner::{self, job_seed};
+use marsim::runner::{job_seed, Observations};
 use marsim::{ScenarioSpec, TelemetrySummary};
-use simcore::trace::{chrome_trace_json, ChromeTraceSink, TraceBuffer, TraceJob, Tracer};
+
+const USAGE: &str = "edge_offload [--smoke] [--seed N] [--threads T] [--trace PATH]";
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
-    let seed: u64 = argv
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| argv.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2024);
-    let trace_path: Option<String> = argv
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| argv.get(i + 1))
-        .cloned();
-    let threads = runner::threads_from_args();
+    let mut args = cli::Args::from_env(USAGE);
+    let smoke = args.switch("--smoke");
+    let seed = args.value("--seed").unwrap_or(2024);
+    let threads = args.threads();
+    let outputs = cli::Outputs {
+        trace: args.value("--trace"),
+        ..cli::Outputs::default()
+    };
+    args.finish();
 
     // SC1 is the heavy scene (decimation matters), CF2 keeps the taskset
     // small enough that every cell runs a full activation quickly.
@@ -64,30 +57,18 @@ fn main() {
         .iter()
         .flat_map(|&n| bandwidths.iter().map(move |&b| (n, b)))
         .collect();
-    let traced = trace_path.is_some();
-    type CellOutcome = (Vec<String>, TelemetrySummary, Option<TraceBuffer>);
-    let (outcomes, mut report): (Vec<CellOutcome>, _) =
-        runner::run_map("edge_offload", threads, &cells, |i, &(clients, mbps)| {
-            let cell_seed = job_seed(seed, i as u64);
-            if traced {
-                let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
-                let (rows, telemetry) = sweep_cell_traced(
-                    &base,
-                    clients,
-                    mbps,
-                    &config,
-                    cell_seed,
-                    Tracer::with_sink(Rc::clone(&sink)),
-                );
-                let buffer = sink.borrow().snapshot();
-                (rows, telemetry, Some(buffer))
-            } else {
-                let (rows, telemetry) =
-                    sweep_cell_traced(&base, clients, mbps, &config, cell_seed, Tracer::disabled());
-                (rows, telemetry, None)
-            }
-        });
-    for (rows, _, _) in &outcomes {
+    let cell_seeds: Vec<u64> = (0..cells.len()).map(|i| job_seed(seed, i as u64)).collect();
+    let mut observations = Observations::new(&outputs.observe(), seed, &cell_seeds);
+    let (outcomes, mut report) = observations.run_map(
+        "edge_offload",
+        threads,
+        &cells,
+        |&(clients, mbps)| format!("c{clients} {mbps}mbps"),
+        |i, &(clients, mbps), tracer| {
+            sweep_cell_traced(&base, clients, mbps, &config, cell_seeds[i], tracer)
+        },
+    );
+    for (rows, _) in &outcomes {
         for row in rows {
             println!("{row}");
         }
@@ -95,27 +76,10 @@ fn main() {
     // Merge per-cell telemetry totals in cell order (deterministic for
     // any thread count) into the runner report.
     let mut telemetry = TelemetrySummary::default();
-    for (_, t, _) in &outcomes {
+    for (_, t) in &outcomes {
         telemetry.merge(t);
     }
     report.telemetry = Some(telemetry);
     harness::emit_runner_report(&report);
-
-    if let Some(path) = trace_path {
-        let jobs: Vec<TraceJob> = outcomes
-            .iter()
-            .zip(&cells)
-            .filter_map(|((_, _, trace), &(clients, mbps))| {
-                trace.as_ref().map(|buffer| TraceJob {
-                    name: format!("c{clients} {mbps}mbps"),
-                    buffer: buffer.clone(),
-                })
-            })
-            .collect();
-        if let Err(e) = std::fs::write(&path, chrome_trace_json(&jobs)) {
-            eprintln!("error: cannot write trace to {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("trace written to {path}");
-    }
+    outputs.write(&observations);
 }

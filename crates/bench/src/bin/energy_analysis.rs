@@ -12,7 +12,7 @@
 //! they run concurrently on the deterministic parallel runner
 //! (`--threads N` / `HBO_THREADS`).
 
-use hbo_bench::{harness, seeds, Table};
+use hbo_bench::{cli, harness, seeds, Table};
 use hbo_core::{Baseline, HboConfig};
 use marsim::experiment::compare_baselines;
 use marsim::{runner, MarApp, ScenarioSpec};
@@ -21,11 +21,11 @@ use soc::PowerModel;
 const SPAN_SECS: f64 = 30.0;
 
 fn main() {
+    let threads = cli::threads_only("energy_analysis [--threads T]");
     let spec = ScenarioSpec::sc1_cf1();
     let result = compare_baselines(&spec, &HboConfig::default(), seeds::FIG5);
     let power = PowerModel::phone_default();
 
-    let threads = runner::threads_from_args();
     let (reports, runner_report) =
         runner::run_map("energy_analysis", threads, &Baseline::ALL, |_, &b| {
             let outcome = result.outcome(b);

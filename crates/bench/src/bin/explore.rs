@@ -4,7 +4,8 @@
 //! ```text
 //! explore [SCENARIO] [--seed N] [--weight W] [--iterations K] [--initial M]
 //!         [--device pixel7|s22] [--distance D] [--baselines] [--warm]
-//!         [--replicates R] [--threads T] [--trace PATH]
+//!         [--replicates R] [--threads T] [--trace PATH] [--metrics PATH]
+//!         [--trace-sample K]
 //!
 //! SCENARIO: SC1-CF1 (default) | SC2-CF1 | SC1-CF2 | SC2-CF2
 //! ```
@@ -16,10 +17,11 @@
 //! cold-vs-warm table in EXPERIMENTS.md.
 //!
 //! With `--replicates R` (R > 1) the activation is repeated R times as a
-//! sweep on the deterministic parallel runner: each replicate's PRNG
-//! stream is derived from `(--seed, replicate index)`, so the sweep is
-//! bit-identical for any `--threads` setting, and the merged best-cost /
-//! convergence statistics are printed alongside the per-replicate bests.
+//! sweep on `--threads T` workers of the deterministic parallel runner:
+//! each replicate's PRNG stream is derived from `(--seed, replicate
+//! index)`, so the sweep is bit-identical for any `--threads` setting,
+//! and the merged best-cost / convergence statistics are printed
+//! alongside the per-replicate bests.
 //!
 //! With `--trace PATH` the activation (or every replicate of the sweep)
 //! records a deterministic span/counter trace and writes it to `PATH` as
@@ -27,7 +29,14 @@
 //! Tracing changes no published output: the printed iterations, bests,
 //! and merged statistics are bit-identical with and without `--trace`,
 //! and the trace file itself is byte-identical across reruns and
-//! `--threads` settings. `--trace` is ignored under `--baselines`.
+//! `--threads` settings. `--trace-sample K` keeps Chrome detail for only
+//! the `K` replicates with the smallest seed-derived hashes (`0` writes
+//! an empty, valid trace); `--metrics PATH` writes the merged
+//! Prometheus-style exposition of every replicate.
+//!
+//! `--baselines` and `--warm` are fixed comparisons: combining them with
+//! each other or with `--replicates`, `--threads`, `--trace` or
+//! `--metrics` is rejected, as is `--threads` without `--replicates`.
 //!
 //! Examples:
 //!
@@ -37,126 +46,19 @@
 //! cargo run --release -p hbo-bench --bin explore -- SC2-CF2 --replicates 8 --threads 4
 //! ```
 
-use hbo_bench::harness;
+use hbo_bench::{cli, harness};
 use hbo_core::{Baseline, HboConfig, WarmCache};
-use marsim::experiment::{compare_baselines, run_hbo, run_hbo_traced, run_hbo_warm};
-use marsim::runner::{self, ObserveConfig, SweepJob};
+use marsim::experiment::{compare_baselines, run_hbo_traced, run_hbo_warm};
+use marsim::runner::{self, Observations, SweepJob};
 use marsim::ScenarioSpec;
-use simcore::metrics::with_observers;
 use simcore::rng::mix;
-use simcore::trace::{chrome_trace_json, TraceJob};
 
-struct Args {
-    scenario: String,
-    seed: u64,
-    weight: f64,
-    iterations: usize,
-    initial: usize,
-    device: String,
-    distance: Option<f64>,
-    baselines: bool,
-    warm: bool,
-    replicates: usize,
-    threads: Option<usize>,
-    trace: Option<String>,
-    metrics: Option<String>,
-    trace_sample: Option<usize>,
-}
+const USAGE: &str = "explore [SCENARIO] [--seed N] [--weight W] [--iterations K] [--initial M]
+        [--device pixel7|s22] [--distance D] [--baselines] [--warm]
+        [--replicates R] [--threads T] [--trace PATH] [--metrics PATH]
+        [--trace-sample K]
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        scenario: "SC1-CF1".to_owned(),
-        seed: 2024,
-        weight: 2.5,
-        iterations: 15,
-        initial: 5,
-        device: "pixel7".to_owned(),
-        distance: None,
-        baselines: false,
-        warm: false,
-        replicates: 1,
-        threads: None,
-        trace: None,
-        metrics: None,
-        trace_sample: None,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--seed" => args.seed = value(&mut i)?.parse().map_err(|e| format!("seed: {e}"))?,
-            "--weight" => {
-                args.weight = value(&mut i)?.parse().map_err(|e| format!("weight: {e}"))?
-            }
-            "--iterations" => {
-                args.iterations = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("iterations: {e}"))?
-            }
-            "--initial" => {
-                args.initial = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("initial: {e}"))?
-            }
-            "--device" => args.device = value(&mut i)?,
-            "--distance" => {
-                args.distance = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("distance: {e}"))?,
-                )
-            }
-            "--baselines" => args.baselines = true,
-            "--warm" => args.warm = true,
-            "--replicates" => {
-                args.replicates = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("replicates: {e}"))?;
-                if args.replicates == 0 {
-                    return Err("replicates must be >= 1".to_owned());
-                }
-            }
-            "--threads" => {
-                args.threads = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("threads: {e}"))?,
-                )
-            }
-            "--trace" => args.trace = Some(value(&mut i)?),
-            "--metrics" => args.metrics = Some(value(&mut i)?),
-            "--trace-sample" => {
-                args.trace_sample = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("trace-sample: {e}"))?,
-                )
-            }
-            "--help" | "-h" => return Err("help".to_owned()),
-            other if !other.starts_with('-') => args.scenario = other.to_owned(),
-            other => return Err(format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-    Ok(args)
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: explore [SC1-CF1|SC2-CF1|SC1-CF2|SC2-CF2] [--seed N] [--weight W]\n\
-         \x20              [--iterations K] [--initial M] [--device pixel7|s22]\n\
-         \x20              [--distance D] [--baselines] [--warm] [--replicates R]\n\
-         \x20              [--threads T] [--trace PATH] [--metrics PATH]\n\
-         \x20              [--trace-sample K]"
-    );
-    std::process::exit(2);
-}
+SCENARIO: SC1-CF1 (default) | SC2-CF1 | SC1-CF2 | SC2-CF2";
 
 fn print_best(run: &marsim::experiment::HboRunResult) {
     println!(
@@ -175,74 +77,66 @@ fn print_best(run: &marsim::experiment::HboRunResult) {
     );
 }
 
-fn write_trace(path: &str, json: &str) {
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("error: cannot write trace to {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("trace written to {path}");
-}
-
-fn write_metrics(path: &str, text: &str) {
-    if let Err(e) = std::fs::write(path, text) {
-        eprintln!("error: cannot write metrics to {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("metrics written to {path}");
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            if msg != "help" {
-                eprintln!("error: {msg}");
-            }
-            usage();
+    let mut args = cli::Args::from_env(USAGE);
+    // --baselines and --warm each run one fixed comparison: they take no
+    // sweep or observation flags, and not each other.
+    args.conflict("--baselines", "--warm");
+    for mode in ["--baselines", "--warm"] {
+        for flag in ["--replicates", "--threads", "--trace", "--metrics"] {
+            args.conflict(mode, flag);
         }
-    };
-
-    let mut spec = match args.scenario.to_uppercase().as_str() {
+    }
+    args.requires("--threads", "--replicates");
+    let seed = args.value("--seed").unwrap_or(2024);
+    let weight = args.value("--weight").unwrap_or(2.5);
+    let iterations = args.value("--iterations").unwrap_or(15);
+    let initial = args.value("--initial").unwrap_or(5);
+    let device: Option<String> = args.value("--device");
+    let distance = args.value("--distance");
+    let baselines = args.switch("--baselines");
+    let warm = args.switch("--warm");
+    let replicates: usize = args.value("--replicates").unwrap_or(1);
+    if replicates == 0 {
+        args.reject("--replicates must be at least 1");
+    }
+    let threads = args.threads();
+    let outputs = args.outputs();
+    let scenario = args.positional().unwrap_or_else(|| "SC1-CF1".to_owned());
+    let mut spec = match scenario.to_uppercase().as_str() {
         "SC1-CF1" => ScenarioSpec::sc1_cf1(),
         "SC2-CF1" => ScenarioSpec::sc2_cf1(),
         "SC1-CF2" => ScenarioSpec::sc1_cf2(),
         "SC2-CF2" => ScenarioSpec::sc2_cf2(),
         other => {
-            eprintln!("error: unknown scenario {other}");
-            usage();
+            args.reject(format!("unknown scenario {other}"));
+            ScenarioSpec::sc1_cf1()
         }
     };
-    match args.device.as_str() {
-        "pixel7" => {}
-        "s22" => spec.device = soc::DeviceProfile::galaxy_s22(),
-        other => {
-            eprintln!("error: unknown device {other}");
-            usage();
-        }
+    match device.as_deref() {
+        None | Some("pixel7") => {}
+        Some("s22") => spec.device = soc::DeviceProfile::galaxy_s22(),
+        Some(other) => args.reject(format!("unknown device {other}")),
     }
-    if let Some(d) = args.distance {
+    args.finish();
+
+    if let Some(d) = distance {
         spec.user_distance = d;
     }
     let config = HboConfig {
-        w: args.weight,
-        n_initial: args.initial,
-        iterations: args.iterations,
+        w: weight,
+        n_initial: initial,
+        iterations,
         ..HboConfig::default()
     };
 
     println!(
         "scenario {} on {} (seed {}, w = {}, {}+{} iterations, distance {:.2} m)\n",
-        spec.name,
-        spec.device.name,
-        args.seed,
-        args.weight,
-        args.initial,
-        args.iterations,
-        spec.user_distance
+        spec.name, spec.device.name, seed, weight, initial, iterations, spec.user_distance
     );
 
-    if args.baselines {
-        let result = compare_baselines(&spec, &config, args.seed);
+    if baselines {
+        let result = compare_baselines(&spec, &config, seed);
         for b in Baseline::ALL {
             let o = result.outcome(b);
             println!(
@@ -255,14 +149,14 @@ fn main() {
                 o.allocation.iter().map(|d| d.letter()).collect::<String>()
             );
         }
-    } else if args.warm {
+    } else if warm {
         // Cold-vs-warm comparison through the fleet-wide cache: run 1
         // misses (empty cache) and stores its converged configuration;
         // run 2 (a derived seed, so a genuinely different activation)
         // hits and seeds its BO design from it.
         let mut cache = WarmCache::new();
-        let cold = run_hbo_warm(&spec, &config, args.seed, &mut cache);
-        let warm = run_hbo_warm(&spec, &config, mix(args.seed, 1), &mut cache);
+        let cold = run_hbo_warm(&spec, &config, seed, &mut cache);
+        let warm = run_hbo_warm(&spec, &config, mix(seed, 1), &mut cache);
         for (label, r) in [("cold", &cold), ("warm", &warm)] {
             println!(
                 "{label}: hit={} windows={} bo_suggests={} converged_at={}",
@@ -274,25 +168,19 @@ fn main() {
             print!("  ");
             print_best(&r.run);
         }
-    } else if args.replicates > 1 {
+    } else if replicates > 1 {
         // Replicate sweep: seeds derived from (--seed, replicate index) on
         // the runner, so the merged statistics are bit-identical for any
         // --threads setting.
-        let threads = args.threads.unwrap_or_else(runner::threads_from_env);
-        let jobs: Vec<SweepJob> = (0..args.replicates)
+        let jobs: Vec<SweepJob> = (0..replicates)
             .map(|r| SweepJob::derived(format!("rep{}", r + 1), spec.clone(), config.clone()))
             .collect();
-        let observe = ObserveConfig {
-            traced: args.trace.is_some(),
-            trace_sample: args.trace_sample,
-            metrics: args.metrics.is_some(),
-        };
-        let sweep = runner::run_sweep_observed("explore", jobs, args.seed, threads, observe);
+        let sweep = runner::run_sweep_observed("explore", jobs, seed, threads, outputs.observe());
         for o in &sweep.outcomes {
             print!("{} (seed {:>20}) ", o.label, o.seed);
             print_best(&o.run);
         }
-        println!("\nmerged statistics over {} replicates:", args.replicates);
+        println!("\nmerged statistics over {replicates} replicates:");
         for m in &sweep.report.metrics {
             println!(
                 "  {:<18} mean={:+.3}  std={:.3}  min={:+.3}  max={:+.3}  (n={})",
@@ -305,37 +193,15 @@ fn main() {
             );
         }
         harness::emit_runner_report(&sweep.report);
-        if let Some(path) = &args.trace {
-            match sweep.trace_json() {
-                Some(json) => write_trace(path, &json),
-                // --trace-sample 0 keeps detail for no replicate at all.
-                None => eprintln!("trace {path} skipped: no replicate sampled"),
-            }
-        }
-        if let Some(path) = &args.metrics {
-            let text = sweep.metrics_text().expect("metrics collected");
-            write_metrics(path, &text);
-        }
+        outputs.write(&sweep.observations);
     } else {
-        let run = if args.trace.is_some() || args.metrics.is_some() {
-            let (run, trace, metrics) =
-                with_observers(args.trace.is_some(), args.metrics.is_some(), |tracer| {
-                    run_hbo_traced(&spec, &config, args.seed, tracer)
-                });
-            if let (Some(path), Some(buffer)) = (&args.trace, trace) {
-                let job = TraceJob {
-                    name: spec.name.clone(),
-                    buffer,
-                };
-                write_trace(path, &chrome_trace_json(&[job]));
-            }
-            if let (Some(path), Some(m)) = (&args.metrics, metrics) {
-                write_metrics(path, &m.render_prometheus());
-            }
-            run
-        } else {
-            run_hbo(&spec, &config, args.seed)
-        };
+        // One activation: a sweep of one job, its trace named after the
+        // scenario.
+        let mut observations = Observations::new(&outputs.observe(), seed, &[seed]);
+        let run = observations.run(0, spec.name.clone(), |tracer| {
+            run_hbo_traced(&spec, &config, seed, tracer)
+        });
+        outputs.write(&observations);
         for (i, r) in run.records.iter().enumerate() {
             println!(
                 "iter {:>2}: x={:.2} alloc={} Q={:.3} eps={:.3} cost={:+.3}",

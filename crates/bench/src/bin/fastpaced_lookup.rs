@@ -14,7 +14,7 @@
 //! Plain event-based HBO re-explores on every swing; the lookup-assisted
 //! variant pays for each condition once and then reuses.
 
-use hbo_bench::Table;
+use hbo_bench::{cli, Table};
 use hbo_core::HboConfig;
 use marsim::timeline::{run_activation_study, ActivationTrace, PolicyKind};
 use marsim::ScenarioSpec;
@@ -37,6 +37,7 @@ fn summarize(trace: &ActivationTrace) -> (usize, usize, f64, f64) {
 }
 
 fn main() {
+    cli::no_args("fastpaced_lookup");
     let spec = ScenarioSpec::sc1_cf2();
     let config = HboConfig {
         n_initial: 3,

@@ -18,7 +18,7 @@
 //! *helps* once the load is high, and piling further tasks onto the CPU
 //! hurts the CPU residents.
 
-use hbo_bench::{harness, Series};
+use hbo_bench::{cli, harness, Series};
 use marsim::runner;
 use marsim::timeline::{run_script, ContentionTrace, ScriptEvent, ScriptPoint};
 use nnmodel::{Delegate, ModelZoo};
@@ -148,9 +148,9 @@ fn fig2c_script() -> SubFigure {
 }
 
 fn main() {
+    let threads = cli::threads_only("fig2 [--threads T]");
     let device = DeviceProfile::galaxy_s22();
     let zoo = ModelZoo::galaxy_s22();
-    let threads = runner::threads_from_args();
 
     let figures = [fig2a_script(), fig2b_script(), fig2c_script()];
     let (traces, report) = runner::run_map("fig2", threads, &figures, |_, f| {

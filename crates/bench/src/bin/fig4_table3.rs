@@ -6,14 +6,14 @@
 //! random configurations, then 15 BO iterations; HBO activates after all
 //! objects are placed with all AI tasks running.
 
-use hbo_bench::{harness, seeds, Series, Table};
+use hbo_bench::{cli, harness, seeds, Series, Table};
 use hbo_core::HboConfig;
 use marsim::runner::{self, SweepJob};
 use marsim::ScenarioSpec;
 
 fn main() {
+    let threads = cli::threads_only("fig4_table3 [--threads T]");
     let config = HboConfig::default();
-    let threads = runner::threads_from_args();
     // The four scenarios as a flat parallel job list, each pinned to the
     // historic figure seed so the published numbers stay bit-identical.
     let jobs: Vec<SweepJob> = ScenarioSpec::all_four()

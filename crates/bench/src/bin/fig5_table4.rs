@@ -10,12 +10,13 @@
 //! window; those five measurements run concurrently on the deterministic
 //! parallel runner (`--threads N` / `HBO_THREADS`).
 
-use hbo_bench::{harness, seeds, Table};
+use hbo_bench::{cli, harness, seeds, Table};
 use hbo_core::{Baseline, HboConfig};
 use marsim::experiment::compare_baselines;
 use marsim::{runner, MarApp, ScenarioSpec};
 
 fn main() {
+    let threads = cli::threads_only("fig5_table4 [--threads T]");
     let spec = ScenarioSpec::sc1_cf1();
     let config = HboConfig::default();
     let result = compare_baselines(&spec, &config, seeds::FIG5);
@@ -83,7 +84,6 @@ fn main() {
     // Tail latency (not in the paper, but what a MAR user feels): p95 per
     // system, re-measured over a longer window. The five baseline
     // re-measurements are independent simulations — run them in parallel.
-    let threads = runner::threads_from_args();
     let (tails, report) = runner::run_map("fig5_table4", threads, &Baseline::ALL, |_, &b| {
         let o = result.outcome(b);
         let mut app = MarApp::new(&spec);

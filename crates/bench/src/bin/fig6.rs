@@ -7,12 +7,13 @@
 //! * **(c)** average quality and normalized latency per iteration,
 //! * **(d)** per-model latency of HBO's final configuration vs SMQ's.
 
-use hbo_bench::{harness, seeds, Series, Table};
+use hbo_bench::{cli, harness, seeds, Series, Table};
 use hbo_core::{static_best_allocation, HboConfig};
 use marsim::experiment::{run_hbo, CONTROL_PERIOD_SECS};
 use marsim::{runner, MarApp, ScenarioSpec};
 
 fn main() {
+    let threads = cli::threads_only("fig6 [--threads T]");
     let spec = ScenarioSpec::sc1_cf1();
     let config = HboConfig::default();
     let run = run_hbo(&spec, &config, seeds::FIG6);
@@ -77,19 +78,14 @@ fn main() {
     // runner (`--threads N` / `HBO_THREADS`).
     let static_alloc = static_best_allocation(&spec.profiles());
     let allocations = [run.best.point.allocation.clone(), static_alloc.clone()];
-    let (measurements, report) = runner::run_map(
-        "fig6",
-        runner::threads_from_args(),
-        &allocations,
-        |_, allocation| {
-            let mut app = MarApp::new(&spec);
-            app.place_all_objects();
-            app.set_allocation(allocation);
-            app.set_triangle_ratio(run.best.point.x);
-            app.run_for_secs(1.0);
-            app.measure_for_secs(2.0 * CONTROL_PERIOD_SECS)
-        },
-    );
+    let (measurements, report) = runner::run_map("fig6", threads, &allocations, |_, allocation| {
+        let mut app = MarApp::new(&spec);
+        app.place_all_objects();
+        app.set_allocation(allocation);
+        app.set_triangle_ratio(run.best.point.x);
+        app.run_for_secs(1.0);
+        app.measure_for_secs(2.0 * CONTROL_PERIOD_SECS)
+    });
     let (hbo_m, smq_m) = (&measurements[0], &measurements[1]);
 
     let mut t = Table::new(

@@ -6,7 +6,7 @@
 //! The 2 scenarios × 6 replicates run as one flat job list on the
 //! deterministic parallel runner (`--threads N` / `HBO_THREADS`).
 
-use hbo_bench::{harness, seeds, Series};
+use hbo_bench::{cli, harness, seeds, Series};
 use hbo_core::HboConfig;
 use marsim::runner::{self, SweepJob, SweepOutcome};
 use marsim::ScenarioSpec;
@@ -56,8 +56,8 @@ fn print_study(name: &str, outcomes: &[&SweepOutcome]) {
 }
 
 fn main() {
+    let threads = cli::threads_only("fig7 [--threads T]");
     let config = HboConfig::default();
-    let threads = runner::threads_from_args();
     let specs = [ScenarioSpec::sc1_cf2(), ScenarioSpec::sc2_cf2()];
     // Flat scenario × replicate job list, each replicate pinned to the
     // historic seed offset so the published series stay bit-identical.

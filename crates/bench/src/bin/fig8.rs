@@ -12,7 +12,7 @@
 //! The two policy studies run concurrently on the deterministic parallel
 //! runner (`--threads N` / `HBO_THREADS`).
 
-use hbo_bench::{harness, seeds};
+use hbo_bench::{cli, harness, seeds};
 use hbo_core::HboConfig;
 use marsim::runner;
 use marsim::timeline::{run_activation_study, ActivationTrace, PolicyKind};
@@ -99,6 +99,7 @@ fn print_trace(title: &str, trace: &ActivationTrace, total_secs: f64) {
 }
 
 fn main() {
+    let threads = cli::threads_only("fig8 [--threads T]");
     let spec = fig8_spec();
     // A trimmed iteration budget keeps each activation's exploration phase
     // proportionate to the paper's timeline (their boxes span ~20-30 s).
@@ -115,7 +116,6 @@ fn main() {
     // Both policy studies share the same scripted timeline and seed, so
     // they are independent jobs: run them concurrently on the runner and
     // print in figure order afterwards.
-    let threads = runner::threads_from_args();
     let policies = [
         (
             "Fig. 8a — event-based activation (ours)",

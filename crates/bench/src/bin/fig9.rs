@@ -11,7 +11,7 @@
 
 use arscene::scenarios::CatalogEntry;
 use arscene::QualityParams;
-use hbo_bench::{seeds, Table};
+use hbo_bench::{cli, seeds, Table};
 use hbo_core::{Baseline, HboConfig};
 use marsim::experiment::compare_baselines;
 use marsim::userstudy::{mos_from_quality, RaterPanel};
@@ -67,6 +67,7 @@ fn mixed_scene() -> Vec<CatalogEntry> {
 }
 
 fn main() {
+    cli::no_args("fig9");
     let mut spec = ScenarioSpec::sc1_cf1();
     spec.objects = mixed_scene();
     spec.name = "UserStudy".to_owned();

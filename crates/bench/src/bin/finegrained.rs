@@ -13,7 +13,7 @@
 //!    contention-blind per-op schedule collapses just like AllN, while
 //!    HBO's joint coarse-allocation + triangle manipulation stays fast.
 
-use hbo_bench::{seeds, Table};
+use hbo_bench::{cli, seeds, Table};
 use hbo_core::HboConfig;
 use marsim::experiment::run_hbo;
 use marsim::{MarApp, ScenarioSpec};
@@ -23,6 +23,7 @@ use nnmodel::{fine_grained_plan, OpGraph};
 const N_OPS: usize = 14;
 
 fn main() {
+    cli::no_args("finegrained");
     let spec = ScenarioSpec::sc1_cf1();
     let zoo = spec.zoo();
     let device = spec.device.clone();

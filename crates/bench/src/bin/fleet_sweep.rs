@@ -38,42 +38,25 @@
 //! is written to `PATH`, byte-identical for any `--threads` setting.
 
 use edgelink::RoutePolicy;
-use hbo_bench::harness;
+use hbo_bench::{cli, harness};
 use hbo_core::WarmCache;
 use marsim::fleet::{run_class_plan, run_fleet_cell_traced, FleetSpec};
-use marsim::runner::{self, job_seed, MetricSummary};
+use marsim::runner::{self, job_seed, MetricSummary, Observations};
 use marsim::TelemetrySummary;
-use simcore::metrics::{head_sample, with_observers, MetricsBuffer};
 use simcore::rng::mix;
 use simcore::stats::Running;
-use simcore::trace::{chrome_trace_json, TraceBuffer, TraceJob, Tracer};
+
+const USAGE: &str = "fleet_sweep [--smoke] [--warm] [--seed N] [--threads T] [--trace PATH]
+            [--metrics PATH] [--trace-sample K]";
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
-    let warm = argv.iter().any(|a| a == "--warm");
-    let seed: u64 = argv
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| argv.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2024);
-    let trace_path: Option<String> = argv
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| argv.get(i + 1))
-        .cloned();
-    let metrics_path: Option<String> = argv
-        .iter()
-        .position(|a| a == "--metrics")
-        .and_then(|i| argv.get(i + 1))
-        .cloned();
-    let trace_sample: Option<usize> = argv
-        .iter()
-        .position(|a| a == "--trace-sample")
-        .and_then(|i| argv.get(i + 1))
-        .and_then(|v| v.parse().ok());
-    let threads = runner::threads_from_args();
+    let mut args = cli::Args::from_env(USAGE);
+    let smoke = args.switch("--smoke");
+    let warm = args.switch("--warm");
+    let seed = args.value("--seed").unwrap_or(2024);
+    let threads = args.threads();
+    let outputs = args.outputs();
+    args.finish();
 
     // Fixed cluster, growing fleet: the sweep walks one deployment from
     // comfortable (~0.3× capacity) to heavily saturated, where routing
@@ -111,35 +94,21 @@ fn main() {
         .iter()
         .flat_map(|&n| RoutePolicy::ALL.iter().map(move |&p| (n, p)))
         .collect();
-    let traced = trace_path.is_some();
-    let want_metrics = metrics_path.is_some();
     let cell_seeds: Vec<u64> = (0..cells.len()).map(|i| job_seed(seed, i as u64)).collect();
-    // Which cells keep full Chrome detail: all of them without
-    // --trace-sample, otherwise the K with the smallest seed-derived
-    // hashes — a pure function of (--seed, cell seeds), so the same
-    // cells on every rerun and every --threads value.
-    let sampled: Vec<bool> = match (traced, trace_sample) {
-        (true, Some(k)) => head_sample(seed, &cell_seeds, k),
-        (true, None) => vec![true; cells.len()],
-        (false, _) => vec![false; cells.len()],
-    };
-    let (outcomes, mut report) =
-        runner::run_map("fleet_sweep", threads, &cells, |i, &(fleet, policy)| {
+    // Sampled cells are a pure function of (--seed, cell seeds), so the
+    // same cells keep Chrome detail on every rerun and --threads value.
+    let mut observations = Observations::new(&outputs.observe(), seed, &cell_seeds);
+    let (outcomes, mut report) = observations.run_map(
+        "fleet_sweep",
+        threads,
+        &cells,
+        |&(fleet, policy)| format!("fleet{fleet} {}", policy.name()),
+        |i, &(fleet, policy), tracer| {
             let spec = FleetSpec::mar_default(fleet).with_horizon(horizon);
-            let cell_seed = cell_seeds[i];
-            if sampled[i] || want_metrics {
-                with_observers(sampled[i], want_metrics, |tracer| {
-                    run_fleet_cell_traced(&spec, policy, cell_seed, tracer)
-                })
-            } else {
-                (
-                    run_fleet_cell_traced(&spec, policy, cell_seed, Tracer::disabled()),
-                    None,
-                    None,
-                )
-            }
-        });
-    for (r, _, _) in &outcomes {
+            run_fleet_cell_traced(&spec, policy, cell_seeds[i], tracer)
+        },
+    );
+    for r in &outcomes {
         println!("{}", r.row);
     }
     // Merge per-cell telemetry and metrics in cell order (deterministic
@@ -147,7 +116,7 @@ fn main() {
     let mut telemetry = plan_telemetry;
     let mut completed = Running::new();
     let mut mean_ms = Running::new();
-    for (r, _, _) in &outcomes {
+    for r in &outcomes {
         telemetry.merge(&r.telemetry);
         completed.record(r.completed as f64);
         if let Some(m) = r.mean_ms {
@@ -167,38 +136,5 @@ fn main() {
         },
     ];
     harness::emit_runner_report(&report);
-
-    if let Some(path) = trace_path {
-        let jobs: Vec<TraceJob> = outcomes
-            .iter()
-            .zip(&cells)
-            .filter_map(|((_, trace, _), &(fleet, policy))| {
-                trace.as_ref().map(|buffer: &TraceBuffer| TraceJob {
-                    name: format!("fleet{fleet} {}", policy.name()),
-                    buffer: buffer.clone(),
-                })
-            })
-            .collect();
-        if let Err(e) = std::fs::write(&path, chrome_trace_json(&jobs)) {
-            eprintln!("error: cannot write trace to {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("trace written to {path}");
-    }
-
-    if let Some(path) = metrics_path {
-        // Per-cell aggregates merge in cell order, so the exposition is
-        // byte-identical for any --threads setting.
-        let mut merged = MetricsBuffer::default();
-        for (_, _, metrics) in &outcomes {
-            if let Some(m) = metrics {
-                merged.merge(m);
-            }
-        }
-        if let Err(e) = std::fs::write(&path, merged.render_prometheus()) {
-            eprintln!("error: cannot write metrics to {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("metrics written to {path}");
-    }
+    outputs.write(&observations);
 }

@@ -14,7 +14,7 @@
 //! measure the static start, run HBO, re-measure); each is one job on the
 //! deterministic parallel runner (`--threads N` / `HBO_THREADS`).
 
-use hbo_bench::{harness, Table};
+use hbo_bench::{cli, harness, Table};
 use hbo_core::HboConfig;
 use marsim::experiment::run_hbo;
 use marsim::runner;
@@ -35,47 +35,43 @@ struct ScenarioVerdict {
 }
 
 fn main() {
+    let threads = cli::threads_only("generalization [--threads T]");
     let config = HboConfig {
         n_initial: 4,
         iterations: 10,
         ..HboConfig::default()
     };
     let scenario_ids: Vec<u64> = (0..N_SCENARIOS as u64).collect();
-    let (verdicts, report) = runner::run_map(
-        "generalization",
-        runner::threads_from_args(),
-        &scenario_ids,
-        |_, &i| {
-            let spec = random_scenario(31_000 + i, &SynthConfig::default());
+    let (verdicts, report) = runner::run_map("generalization", threads, &scenario_ids, |_, &i| {
+        let spec = random_scenario(31_000 + i, &SynthConfig::default());
 
-            // Static start: best-isolated allocation at full quality.
-            let mut app = MarApp::new(&spec);
-            app.place_all_objects();
-            app.run_for_secs(1.0);
-            let static_m = app.measure_for_secs(8.0);
-            let static_reward = static_m.reward(config.w);
+        // Static start: best-isolated allocation at full quality.
+        let mut app = MarApp::new(&spec);
+        app.place_all_objects();
+        app.run_for_secs(1.0);
+        let static_m = app.measure_for_secs(8.0);
+        let static_reward = static_m.reward(config.w);
 
-            let run = run_hbo(&spec, &config, 5_000 + i);
-            app.apply(&run.best.point);
-            app.run_for_secs(1.0);
-            let hbo_m = app.measure_for_secs(8.0);
+        let run = run_hbo(&spec, &config, 5_000 + i);
+        app.apply(&run.best.point);
+        app.run_for_secs(1.0);
+        let hbo_m = app.measure_for_secs(8.0);
 
-            ScenarioVerdict {
-                name: spec.name.clone(),
-                objects: spec.objects.len(),
-                tasks: spec.task_count(),
-                mtris: spec
-                    .objects
-                    .iter()
-                    .map(|o| o.triangles as f64 * o.count as f64)
-                    .sum::<f64>()
-                    / 1e6,
-                hbo_x: run.best.point.x,
-                hbo_reward: hbo_m.reward(config.w),
-                static_reward,
-            }
-        },
-    );
+        ScenarioVerdict {
+            name: spec.name.clone(),
+            objects: spec.objects.len(),
+            tasks: spec.task_count(),
+            mtris: spec
+                .objects
+                .iter()
+                .map(|o| o.triangles as f64 * o.count as f64)
+                .sum::<f64>()
+                / 1e6,
+            hbo_x: run.best.point.x,
+            hbo_reward: hbo_m.reward(config.w),
+            static_reward,
+        }
+    });
 
     let mut table = Table::new(
         format!(

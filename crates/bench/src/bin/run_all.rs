@@ -10,6 +10,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use hbo_bench::cli;
+
 /// The experiment binaries: the paper's tables/figures in order, then the
 /// extension studies (BO ablation, Section VI lookup table, energy).
 const EXPERIMENTS: [&str; 14] = [
@@ -30,6 +32,7 @@ const EXPERIMENTS: [&str; 14] = [
 ];
 
 fn main() {
+    cli::no_args("run_all");
     let me = std::env::current_exe().expect("own path");
     let dir: PathBuf = me.parent().expect("binary directory").to_path_buf();
     let mut failures = Vec::new();

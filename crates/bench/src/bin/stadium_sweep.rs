@@ -27,40 +27,23 @@
 //! setting.
 
 use edgelink::SharedCell;
-use hbo_bench::harness;
+use hbo_bench::{cli, harness};
 use hbo_core::HboConfig;
 use marsim::edge::stadium_cell_traced;
 use marsim::fleet::{run_mobility_cell_traced, FleetSpec};
-use marsim::runner::{self, job_seed};
+use marsim::runner::{job_seed, Observations};
 use marsim::{ScenarioSpec, TelemetrySummary};
-use simcore::metrics::{head_sample, with_observers, MetricsBuffer};
-use simcore::trace::{chrome_trace_json, TraceBuffer, TraceJob, Tracer};
+
+const USAGE: &str = "stadium_sweep [--smoke] [--seed N] [--threads T] [--trace PATH]
+              [--metrics PATH] [--trace-sample K]";
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
-    let seed: u64 = argv
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| argv.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2024);
-    let trace_path: Option<String> = argv
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| argv.get(i + 1))
-        .cloned();
-    let metrics_path: Option<String> = argv
-        .iter()
-        .position(|a| a == "--metrics")
-        .and_then(|i| argv.get(i + 1))
-        .cloned();
-    let trace_sample: Option<usize> = argv
-        .iter()
-        .position(|a| a == "--trace-sample")
-        .and_then(|i| argv.get(i + 1))
-        .and_then(|v| v.parse().ok());
-    let threads = runner::threads_from_args();
+    let mut args = cli::Args::from_env(USAGE);
+    let smoke = args.switch("--smoke");
+    let seed = args.value("--seed").unwrap_or(2024);
+    let threads = args.threads();
+    let outputs = args.outputs();
+    args.finish();
 
     // SC1-CF2 keeps the taskset small enough for a full activation per
     // population cell; the stadium cell's capacity (80/160 Mbit/s) is
@@ -78,8 +61,6 @@ fn main() {
         vec![2, 4, 8, 16, 32]
     };
 
-    let traced = trace_path.is_some();
-    let want_metrics = metrics_path.is_some();
     // Head-sampling covers every cell of the sweep — the population
     // cells plus the trailing mobility cell — as one seed sequence, so
     // the same K cells keep Chrome detail on every rerun and thread
@@ -87,39 +68,17 @@ fn main() {
     let cell_seeds: Vec<u64> = (0..=populations.len())
         .map(|i| job_seed(seed, i as u64))
         .collect();
-    let sampled: Vec<bool> = match (traced, trace_sample) {
-        (true, Some(k)) => head_sample(seed, &cell_seeds, k),
-        (true, None) => vec![true; cell_seeds.len()],
-        (false, _) => vec![false; cell_seeds.len()],
-    };
-    type CellOutcome = (
-        String,
-        TelemetrySummary,
-        Option<TraceBuffer>,
-        Option<MetricsBuffer>,
+    let mut observations = Observations::new(&outputs.observe(), seed, &cell_seeds);
+    let (outcomes, mut report) = observations.run_map(
+        "stadium_sweep",
+        threads,
+        &populations,
+        |clients| format!("stadium c{clients}"),
+        |i, &clients, tracer| {
+            stadium_cell_traced(&base, cell, clients, &config, cell_seeds[i], tracer)
+        },
     );
-    let (outcomes, mut report): (Vec<CellOutcome>, _) =
-        runner::run_map("stadium_sweep", threads, &populations, |i, &clients| {
-            let cell_seed = cell_seeds[i];
-            if sampled[i] || want_metrics {
-                let ((row, telemetry), trace, metrics) =
-                    with_observers(sampled[i], want_metrics, |tracer| {
-                        stadium_cell_traced(&base, cell, clients, &config, cell_seed, tracer)
-                    });
-                (row, telemetry, trace, metrics)
-            } else {
-                let (row, telemetry) = stadium_cell_traced(
-                    &base,
-                    cell,
-                    clients,
-                    &config,
-                    cell_seed,
-                    Tracer::disabled(),
-                );
-                (row, telemetry, None, None)
-            }
-        });
-    for (row, _, _, _) in &outcomes {
+    for (row, _) in &outcomes {
         println!("{row}");
     }
 
@@ -127,71 +86,20 @@ fn main() {
     // cells (one job; identical for any --threads setting). Its seed
     // continues the same job-seed sequence.
     let fleet = FleetSpec::mar_default(8).with_horizon(if smoke { 4.0 } else { 30.0 });
-    let mobility_seed = cell_seeds[populations.len()];
-    let mobility_sampled = sampled[populations.len()];
-    let (mobility, mobility_trace, mobility_metrics) = if mobility_sampled || want_metrics {
-        with_observers(mobility_sampled, want_metrics, |tracer| {
-            run_mobility_cell_traced(&fleet, mobility_seed, tracer)
-        })
-    } else {
-        (
-            run_mobility_cell_traced(&fleet, mobility_seed, Tracer::disabled()),
-            None,
-            None,
-        )
-    };
+    let mobility_job = populations.len();
+    let mobility = observations.run(mobility_job, "mobility".to_owned(), |tracer| {
+        run_mobility_cell_traced(&fleet, cell_seeds[mobility_job], tracer)
+    });
     println!("{}", mobility.row);
 
     // Merge per-cell telemetry totals in cell order (deterministic for
     // any thread count) into the runner report.
     let mut telemetry = TelemetrySummary::default();
-    for (_, t, _, _) in &outcomes {
+    for (_, t) in &outcomes {
         telemetry.merge(t);
     }
     telemetry.merge(&mobility.telemetry);
     report.telemetry = Some(telemetry);
     harness::emit_runner_report(&report);
-
-    if let Some(path) = trace_path {
-        let mut jobs: Vec<TraceJob> = outcomes
-            .iter()
-            .zip(&populations)
-            .filter_map(|((_, _, trace, _), &clients)| {
-                trace.as_ref().map(|buffer| TraceJob {
-                    name: format!("stadium c{clients}"),
-                    buffer: buffer.clone(),
-                })
-            })
-            .collect();
-        if let Some(buffer) = mobility_trace {
-            jobs.push(TraceJob {
-                name: "mobility".to_owned(),
-                buffer,
-            });
-        }
-        if let Err(e) = std::fs::write(&path, chrome_trace_json(&jobs)) {
-            eprintln!("error: cannot write trace to {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("trace written to {path}");
-    }
-
-    if let Some(path) = metrics_path {
-        // Cell order, mobility last — the same merge order for any
-        // --threads setting, so the exposition is byte-identical.
-        let mut merged = MetricsBuffer::default();
-        for (_, _, _, metrics) in &outcomes {
-            if let Some(m) = metrics {
-                merged.merge(m);
-            }
-        }
-        if let Some(m) = &mobility_metrics {
-            merged.merge(m);
-        }
-        if let Err(e) = std::fs::write(&path, merged.render_prometheus()) {
-            eprintln!("error: cannot write metrics to {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("metrics written to {path}");
-    }
+    outputs.write(&observations);
 }

@@ -8,7 +8,7 @@
 //! reproduces.
 
 use hbo_bench::render::ms_cell;
-use hbo_bench::Table;
+use hbo_bench::{cli, Table};
 use marsim::isolated;
 use nnmodel::{Delegate, ModelZoo};
 use soc::DeviceProfile;
@@ -50,6 +50,7 @@ fn device_table(device: &DeviceProfile, zoo: &ModelZoo) -> Table {
 }
 
 fn main() {
+    cli::no_args("table1");
     for (device, zoo) in [
         (DeviceProfile::galaxy_s22(), ModelZoo::galaxy_s22()),
         (DeviceProfile::pixel7(), ModelZoo::pixel7()),

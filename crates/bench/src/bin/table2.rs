@@ -2,10 +2,11 @@
 //! SC1/SC2 and AI tasksets CF1/CF2) used by the evaluation, as encoded in
 //! the workspace.
 
-use hbo_bench::Table;
+use hbo_bench::{cli, Table};
 use marsim::{cf1_tasks, cf2_tasks};
 
 fn main() {
+    cli::no_args("table2");
     let mut t = Table::new(
         "Table II — Virtual objects (SC1)",
         vec!["object".into(), "count".into(), "triangles".into()],

@@ -1,9 +1,10 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
 //! Each binary in `src/bin/` reproduces one table/figure (see `DESIGN.md`
-//! for the full index); this library holds the shared plumbing — fixed
-//! seeds, text-table and series renderers, and comparison summaries that
-//! are written into `EXPERIMENTS.md`.
+//! for the full index); this library holds the shared plumbing — the
+//! strict command-line parser, fixed seeds, text-table and series
+//! renderers, and comparison summaries that are written into
+//! `EXPERIMENTS.md`.
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -21,6 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod harness;
 pub mod render;
 pub mod seeds;

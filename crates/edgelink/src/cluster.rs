@@ -85,14 +85,6 @@ impl RoutePolicy {
     pub fn parse(s: &str) -> Option<RoutePolicy> {
         RoutePolicy::ALL.into_iter().find(|p| p.name() == s)
     }
-
-    /// Whether pooled results are invariant under permutation of the
-    /// session vector. True for every policy here: round-robin assigns
-    /// by offer arrival order (unchanged by relabeling), and the other
-    /// three key their choices off per-session seeds and live load.
-    pub fn claims_symmetry(self) -> bool {
-        true
-    }
 }
 
 /// One cluster member: sizing plus placement and relative speed.

@@ -480,14 +480,6 @@ impl EdgeSim {
         self.run_until(deadline);
     }
 
-    /// Runs until every in-flight request has been delivered (no pending
-    /// events means every closed loop is quiescent, which only happens if
-    /// submission is stopped — used by the byte-conservation tests via a
-    /// far deadline after which flows are idle).
-    pub fn drain_until(&mut self, deadline: SimTime) {
-        self.run_until(deadline);
-    }
-
     /// Number of clients.
     pub fn client_count(&self) -> usize {
         self.state.clients.len()

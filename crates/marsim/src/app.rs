@@ -209,11 +209,6 @@ impl MarApp {
         &self.expected_ms
     }
 
-    /// Number of objects not yet placed.
-    pub fn pending_objects(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Places the next pending object at full quality. Returns `false`
     /// when nothing is left to place.
     pub fn place_next_object(&mut self) -> bool {
@@ -391,15 +386,6 @@ impl MarApp {
         self.tasks
             .iter()
             .map(|t| self.sim.stream_metrics(t.stream).latency_percentile_ms(q))
-            .collect()
-    }
-
-    /// Mean latency of each task over completions since `since`
-    /// (`None` where no completion landed in that span).
-    pub fn per_task_latency_since(&self, since: SimTime) -> Vec<Option<f64>> {
-        self.tasks
-            .iter()
-            .map(|t| self.sim.stream_metrics(t.stream).mean_since(since))
             .collect()
     }
 

@@ -17,9 +17,14 @@
 //!    [`simcore::pool::map`] make a `--threads N` run bit-identical to
 //!    `--threads 1` for any `N`.
 //!
-//! The thread count comes from `--threads N` on the command line, the
-//! `HBO_THREADS` environment variable, or the machine's available
-//! parallelism, in that order ([`threads_from_args`]).
+//! The thread count comes from `--threads N` on the command line (parsed
+//! by `hbo_bench::cli`), the `HBO_THREADS` environment variable, or the
+//! machine's available parallelism, in that order ([`threads_from_env`]).
+//!
+//! Any sweep can also be *observed* ([`Observations`]): deterministic
+//! head-sampled Chrome tracing plus streaming metric aggregation, with
+//! per-job buffers collected in job-index order so the trace file and the
+//! metrics exposition are byte-identical for any thread count.
 //!
 //! Each binary reports its sweep as one JSON line (a [`RunnerReport`],
 //! emitted through `hbo_bench::harness`) so wall time and merged metrics
@@ -31,9 +36,9 @@ use hbo_core::HboConfig;
 use simcore::metrics::{head_sample, with_observers, MetricsBuffer};
 use simcore::pool;
 use simcore::stats::Running;
-use simcore::trace::{chrome_trace_json, TraceBuffer, TraceJob};
+use simcore::trace::{chrome_trace_json, TraceBuffer, TraceJob, Tracer};
 
-use crate::experiment::{run_hbo, run_hbo_traced, HboRunResult};
+use crate::experiment::{run_hbo_traced, HboRunResult};
 use crate::scenario::ScenarioSpec;
 use crate::telemetry::TelemetrySummary;
 
@@ -52,18 +57,6 @@ pub fn threads_from_env() -> usize {
         .and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
         .unwrap_or_else(pool::available_threads)
-}
-
-/// Thread count for an experiment binary: `--threads N` from the command
-/// line when present, otherwise [`threads_from_env`].
-pub fn threads_from_args() -> usize {
-    let argv: Vec<String> = std::env::args().collect();
-    argv.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| argv.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(threads_from_env)
 }
 
 /// One job of an HBO activation sweep.
@@ -119,13 +112,6 @@ pub struct SweepOutcome {
     pub seed: u64,
     /// The full activation result.
     pub run: HboRunResult,
-    /// The job's trace buffer, when the sweep ran with tracing enabled
-    /// ([`run_sweep_traced`]) and this job was head-sampled (or sampling
-    /// was off).
-    pub trace: Option<TraceBuffer>,
-    /// The job's aggregated metrics, when the sweep ran with metrics
-    /// collection enabled ([`run_sweep_observed`]).
-    pub metrics: Option<MetricsBuffer>,
 }
 
 /// What a sweep observes while it runs: Chrome tracing, deterministic
@@ -144,14 +130,116 @@ pub struct ObserveConfig {
     pub metrics: bool,
 }
 
-impl ObserveConfig {
-    /// Tracing on or off, no sampling, no metrics — the historical
-    /// [`run_sweep_traced`] behaviour.
-    pub fn traced(traced: bool) -> Self {
-        ObserveConfig {
-            traced,
-            ..ObserveConfig::default()
+/// What an observed sweep's sinks collected, in job-index order: the
+/// full-detail Chrome buffers of the head-sampled jobs (one named `pid`
+/// each) and the merged aggregate of every metered job.
+///
+/// Built from an [`ObserveConfig`] plus the sweep's per-job seeds, which
+/// fix the sampled set up front; jobs then run through
+/// [`Observations::run_map`] (a parallel batch) or [`Observations::run`]
+/// (one serial job) and their buffers are folded in as they are
+/// collected. Sinks are per job (nothing shared across threads) and
+/// observation never perturbs the simulations, so every job's result,
+/// the trace file and the exposition are bit-identical across thread
+/// counts and to an unobserved run.
+#[derive(Debug, Clone)]
+pub struct Observations {
+    sampled: Vec<bool>,
+    /// `Some` exactly when tracing is on.
+    traces: Option<Vec<TraceJob>>,
+    /// `Some` exactly when metrics collection is on.
+    metrics: Option<MetricsBuffer>,
+}
+
+impl Observations {
+    /// Observation plan for a sweep whose job `i` runs with `seeds[i]`.
+    /// With `trace_sample: Some(k)` only the `k` jobs with the smallest
+    /// `(master_seed, seed)`-derived hashes keep Chrome detail
+    /// ([`simcore::metrics::head_sample`]) — the same jobs on every rerun
+    /// and thread count.
+    pub fn new(observe: &ObserveConfig, master_seed: u64, seeds: &[u64]) -> Self {
+        let sampled = match (observe.traced, observe.trace_sample) {
+            (true, Some(k)) => head_sample(master_seed, seeds, k),
+            (traced, _) => vec![traced; seeds.len()],
+        };
+        Observations {
+            sampled,
+            traces: observe.traced.then(Vec::new),
+            metrics: observe.metrics.then(MetricsBuffer::default),
         }
+    }
+
+    /// Which jobs keep full Chrome detail, one flag per job.
+    pub fn sampled(&self) -> &[bool] {
+        &self.sampled
+    }
+
+    /// Runs job `job` serially under its sinks and collects what they
+    /// gathered, the trace under `name`.
+    pub fn run<R>(&mut self, job: usize, name: String, f: impl FnOnce(Tracer) -> R) -> R {
+        let (out, trace, metrics) = with_observers(self.sampled[job], self.metrics.is_some(), f);
+        self.collect(name, trace, metrics);
+        out
+    }
+
+    /// [`run_map`] with every item observed as the job of the same
+    /// index: `f` gets the job's tracer (disabled unless sampled or
+    /// metered), and the buffers are collected in job order afterwards,
+    /// each trace under `name(item)`.
+    pub fn run_map<T, R, F>(
+        &mut self,
+        label: impl Into<String>,
+        threads: usize,
+        items: &[T],
+        name: impl Fn(&T) -> String,
+        f: F,
+    ) -> (Vec<R>, RunnerReport)
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T, Tracer) -> R + Sync,
+    {
+        let (sampled, metered) = (&self.sampled, self.metrics.is_some());
+        let (jobs, report) = run_map(label, threads, items, |i, item| {
+            with_observers(sampled[i], metered, |tracer| f(i, item, tracer))
+        });
+        let outs = jobs
+            .into_iter()
+            .zip(items)
+            .map(|((out, trace, metrics), item)| {
+                self.collect(name(item), trace, metrics);
+                out
+            })
+            .collect();
+        (outs, report)
+    }
+
+    fn collect(
+        &mut self,
+        name: String,
+        trace: Option<TraceBuffer>,
+        metrics: Option<MetricsBuffer>,
+    ) {
+        if let (Some(traces), Some(buffer)) = (&mut self.traces, trace) {
+            traces.push(TraceJob { name, buffer });
+        }
+        if let (Some(merged), Some(m)) = (&mut self.metrics, metrics) {
+            merged.merge(&m);
+        }
+    }
+
+    /// The sampled jobs' buffers as one Chrome trace-event JSON document
+    /// (one `pid` per job, in job order) — an empty, valid document when
+    /// no job was sampled. `None` when tracing is off.
+    pub fn trace_json(&self) -> Option<String> {
+        self.traces.as_deref().map(chrome_trace_json)
+    }
+
+    /// The metered jobs' aggregates merged in job order, rendered as the
+    /// deterministic Prometheus-style text exposition. `None` when
+    /// metrics collection is off.
+    pub fn metrics_text(&self) -> Option<String> {
+        self.metrics.as_ref().map(MetricsBuffer::render_prometheus)
     }
 }
 
@@ -232,54 +320,14 @@ pub struct SweepResult {
     pub outcomes: Vec<SweepOutcome>,
     /// Merged statistics and timing.
     pub report: RunnerReport,
+    /// What the sweep's sinks collected ([`run_sweep_observed`]).
+    pub observations: Observations,
 }
 
 impl SweepResult {
     /// The outcomes whose label matches `label`, in job order.
     pub fn labeled<'a>(&'a self, label: &str) -> Vec<&'a SweepOutcome> {
         self.outcomes.iter().filter(|o| o.label == label).collect()
-    }
-
-    /// Merges the per-job trace buffers (job-index order, one Chrome
-    /// `pid` per job) into one Chrome trace-event JSON document. `None`
-    /// when the sweep ran without tracing.
-    pub fn trace_json(&self) -> Option<String> {
-        if self.outcomes.iter().all(|o| o.trace.is_none()) {
-            return None;
-        }
-        let jobs: Vec<TraceJob> = self
-            .outcomes
-            .iter()
-            .filter_map(|o| {
-                o.trace.as_ref().map(|buffer| TraceJob {
-                    name: o.label.clone(),
-                    buffer: buffer.clone(),
-                })
-            })
-            .collect();
-        Some(chrome_trace_json(&jobs))
-    }
-
-    /// Merges the per-job [`MetricsBuffer`]s in job-index order and
-    /// renders the deterministic Prometheus-style text exposition. `None`
-    /// when the sweep ran without metrics collection.
-    pub fn metrics_text(&self) -> Option<String> {
-        self.merged_metrics().map(|m| m.render_prometheus())
-    }
-
-    /// Merges the per-job [`MetricsBuffer`]s in job-index order. `None`
-    /// when the sweep ran without metrics collection.
-    pub fn merged_metrics(&self) -> Option<MetricsBuffer> {
-        let mut merged: Option<MetricsBuffer> = None;
-        for o in &self.outcomes {
-            if let Some(m) = &o.metrics {
-                match &mut merged {
-                    Some(acc) => acc.merge(m),
-                    None => merged = Some(m.clone()),
-                }
-            }
-        }
-        merged
     }
 }
 
@@ -297,42 +345,15 @@ pub fn run_sweep(
     master_seed: u64,
     threads: usize,
 ) -> SweepResult {
-    run_sweep_traced(label, jobs, master_seed, threads, false)
+    run_sweep_observed(label, jobs, master_seed, threads, ObserveConfig::default())
 }
 
-/// [`run_sweep`] with optional tracing: when `traced` is set, each job
-/// runs with its own [`ChromeTraceSink`] (sinks are per-worker-job, so
-/// nothing is shared across threads) and returns its buffer for
-/// deterministic job-index-order merging via [`SweepResult::trace_json`].
-/// Tracing never perturbs the simulations, so every metric — and the
-/// merged trace itself — is bit-identical across thread counts and to an
-/// untraced run.
-pub fn run_sweep_traced(
-    label: impl Into<String>,
-    jobs: Vec<SweepJob>,
-    master_seed: u64,
-    threads: usize,
-    traced: bool,
-) -> SweepResult {
-    run_sweep_observed(
-        label,
-        jobs,
-        master_seed,
-        threads,
-        ObserveConfig::traced(traced),
-    )
-}
-
-/// [`run_sweep`] with the full observability surface: optional Chrome
-/// tracing with deterministic seed-derived head-sampling, and optional
-/// streaming metric aggregation ([`simcore::metrics::AggregatingSink`]).
-///
-/// Sampling decisions depend only on `(master_seed, per-job seed)`, so
-/// the same `k` jobs keep full Chrome detail on every rerun and every
-/// `--threads` value. Sinks are per-worker-job (nothing shared across
-/// threads) and observation never perturbs the simulations, so every
-/// metric — the merged trace and the merged metrics text included — is
-/// bit-identical across thread counts and to an unobserved run.
+/// [`run_sweep`] under `observe`: optional Chrome tracing with
+/// deterministic seed-derived head-sampling, and optional streaming
+/// metric aggregation, collected into [`SweepResult::observations`]
+/// with each trace named by its job's label. Every metric — the merged
+/// trace and the metrics text included — is bit-identical across thread
+/// counts and to an unobserved run.
 pub fn run_sweep_observed(
     label: impl Into<String>,
     jobs: Vec<SweepJob>,
@@ -340,36 +361,30 @@ pub fn run_sweep_observed(
     threads: usize,
     observe: ObserveConfig,
 ) -> SweepResult {
-    let start = Instant::now();
     let seeds: Vec<u64> = jobs
         .iter()
         .enumerate()
         .map(|(i, job)| job.seed.unwrap_or_else(|| job_seed(master_seed, i as u64)))
         .collect();
-    let sampled: Vec<bool> = match (observe.traced, observe.trace_sample) {
-        (true, Some(k)) => head_sample(master_seed, &seeds, k),
-        (true, None) => vec![true; jobs.len()],
-        (false, _) => vec![false; jobs.len()],
-    };
-    let outcomes: Vec<SweepOutcome> = pool::map(threads, &jobs, |i, job| {
-        let seed = seeds[i];
-        let (run, trace, metrics) = if sampled[i] || observe.metrics {
-            with_observers(sampled[i], observe.metrics, |tracer| {
-                run_hbo_traced(&job.scenario, &job.config, seed, tracer)
-            })
-        } else {
-            (run_hbo(&job.scenario, &job.config, seed), None, None)
-        };
-        SweepOutcome {
-            job_index: i,
-            label: job.label.clone(),
-            seed,
+    let mut observations = Observations::new(&observe, master_seed, &seeds);
+    let (runs, mut report) = observations.run_map(
+        label,
+        threads,
+        &jobs,
+        |job| job.label.clone(),
+        |i, job, tracer| run_hbo_traced(&job.scenario, &job.config, seeds[i], tracer),
+    );
+    let outcomes: Vec<SweepOutcome> = runs
+        .into_iter()
+        .zip(jobs)
+        .enumerate()
+        .map(|(job_index, (run, job))| SweepOutcome {
+            job_index,
+            label: job.label,
+            seed: seeds[job_index],
             run,
-            trace,
-            metrics,
-        }
-    });
-    let wall_secs = start.elapsed().as_secs_f64();
+        })
+        .collect();
 
     // Per-job accumulators, merged in index order (parallel Welford).
     let mut iter_cost = Running::new();
@@ -398,21 +413,19 @@ pub fn run_sweep_observed(
         name: name.to_owned(),
         stats,
     };
-    let report = RunnerReport {
-        label: label.into(),
-        wall_secs,
-        jobs: outcomes.len(),
-        threads,
-        metrics: vec![
-            metric("best_cost", best_cost),
-            metric("iters_to_converge", iters_to_converge),
-            metric("iter_cost", iter_cost),
-            metric("iter_quality", iter_quality),
-            metric("iter_epsilon", iter_epsilon),
-        ],
-        telemetry: Some(telemetry),
-    };
-    SweepResult { outcomes, report }
+    report.metrics = vec![
+        metric("best_cost", best_cost),
+        metric("iters_to_converge", iters_to_converge),
+        metric("iter_cost", iter_cost),
+        metric("iter_quality", iter_quality),
+        metric("iter_epsilon", iter_epsilon),
+    ];
+    report.telemetry = Some(telemetry);
+    SweepResult {
+        outcomes,
+        report,
+        observations,
+    }
 }
 
 /// Runs an arbitrary deterministic job list on `threads` workers and
@@ -584,22 +597,29 @@ mod tests {
         let parallel = run_sweep_observed("obs", demo_jobs(), 42, 4, observe);
         let plain = run_sweep("obs", demo_jobs(), 42, 1);
 
-        // Exactly k jobs keep Chrome detail; the same jobs either way.
-        let traced_jobs = |r: &SweepResult| -> Vec<usize> {
-            r.outcomes
-                .iter()
-                .filter(|o| o.trace.is_some())
-                .map(|o| o.job_index)
-                .collect()
-        };
-        assert_eq!(traced_jobs(&serial).len(), 2);
-        assert_eq!(traced_jobs(&serial), traced_jobs(&parallel));
+        // Exactly k jobs keep Chrome detail; the same jobs either way,
+        // and the merged trace names exactly those jobs.
+        let sampled = serial.observations.sampled();
+        assert_eq!(sampled.iter().filter(|&&s| s).count(), 2);
+        assert_eq!(sampled, parallel.observations.sampled());
+        let trace = serial.observations.trace_json().expect("traced");
+        assert_eq!(Some(trace.clone()), parallel.observations.trace_json());
+        for (o, &s) in serial.outcomes.iter().zip(sampled) {
+            let named = format!("\"name\":\"{}\"", o.label);
+            assert_eq!(trace.contains(&named), s, "{}", o.label);
+        }
 
-        // Every job feeds the aggregator, and the merged exposition is
-        // byte-identical across thread counts.
-        assert!(serial.outcomes.iter().all(|o| o.metrics.is_some()));
-        let text = serial.metrics_text().expect("metrics collected");
-        assert_eq!(Some(text.clone()), parallel.metrics_text());
+        // Every job feeds the aggregator, sampled or not: the merged
+        // exposition equals the unsampled one and is byte-identical
+        // across thread counts.
+        let text = serial.observations.metrics_text().expect("metered");
+        assert_eq!(Some(text.clone()), parallel.observations.metrics_text());
+        let metrics_only = ObserveConfig {
+            metrics: true,
+            ..ObserveConfig::default()
+        };
+        let unsampled = run_sweep_observed("obs", demo_jobs(), 42, 2, metrics_only);
+        assert_eq!(Some(text.clone()), unsampled.observations.metrics_text());
         assert!(text.contains("# TYPE mar_span_count counter"));
 
         // Observation never perturbs the simulations.
@@ -614,10 +634,55 @@ mod tests {
     #[test]
     fn untraced_observed_sweep_collects_no_buffers() {
         let result = run_sweep_observed("off", demo_jobs(), 3, 2, ObserveConfig::default());
-        assert!(result.outcomes.iter().all(|o| o.trace.is_none()));
-        assert!(result.outcomes.iter().all(|o| o.metrics.is_none()));
-        assert!(result.metrics_text().is_none());
-        assert!(result.trace_json().is_none());
+        assert!(result.observations.sampled().iter().all(|&s| !s));
+        assert!(result.observations.metrics_text().is_none());
+        assert!(result.observations.trace_json().is_none());
+    }
+
+    #[test]
+    fn zero_sampled_jobs_still_yield_a_valid_empty_trace() {
+        let observe = ObserveConfig {
+            traced: true,
+            trace_sample: Some(0),
+            metrics: false,
+        };
+        let result = run_sweep_observed("none", demo_jobs(), 3, 2, observe);
+        let json = result.observations.trace_json().expect("tracing on");
+        let stats = simcore::trace::chrome_trace_stats(&json).expect("valid Chrome JSON");
+        assert_eq!(stats.spans, 0);
+    }
+
+    #[test]
+    fn serial_and_mapped_jobs_collect_in_job_order() {
+        // A mapped batch followed by a serial job (the shape of a sweep
+        // with a trailing cell) traces like one mapped batch over all
+        // jobs: same sampled set, same names, same pid order.
+        let observe = ObserveConfig {
+            traced: true,
+            trace_sample: Some(2),
+            metrics: true,
+        };
+        let seeds: Vec<u64> = (0..4).map(|i| job_seed(11, i)).collect();
+        let job = |i: usize, tracer: Tracer| {
+            let track = tracer.register_track("test", "job");
+            tracer.counter(simcore::SimTime::ZERO, track, "test", "i", i as f64);
+            i
+        };
+        let items: Vec<usize> = (0..4).collect();
+        let mut whole = Observations::new(&observe, 11, &seeds);
+        let (all, _) = whole.run_map("m", 2, &items, |i| format!("j{i}"), |i, _, t| job(i, t));
+        let mut split = Observations::new(&observe, 11, &seeds);
+        let (head, _) = split.run_map(
+            "m",
+            2,
+            &items[..3],
+            |i| format!("j{i}"),
+            |i, _, t| job(i, t),
+        );
+        let last = split.run(3, "j3".to_owned(), |t| job(3, t));
+        assert_eq!(all, [head, vec![last]].concat());
+        assert_eq!(whole.trace_json(), split.trace_json());
+        assert_eq!(whole.metrics_text(), split.metrics_text());
     }
 
     #[test]

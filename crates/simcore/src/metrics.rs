@@ -275,13 +275,6 @@ pub struct SpanStats {
     pub histogram: LogHistogram,
 }
 
-impl SpanStats {
-    /// Mean span duration in nanoseconds, `None` when empty.
-    pub fn mean_ns(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.total_ns as f64 / self.count as f64)
-    }
-}
-
 /// Streaming statistics plus the bounded time series for one
 /// `(track, counter-name)` series.
 #[derive(Debug, Clone)]

@@ -7,7 +7,7 @@
 //! `(master_seed, stream_name)` pair via the FNV-1a hash of the name mixed
 //! with the master seed through splitmix64.
 
-use crate::rand::{SeedableRng, StdRng};
+use crate::rand::{splitmix64, SeedableRng, StdRng};
 
 /// Derives independent RNG streams from one master seed.
 ///
@@ -82,14 +82,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
-}
-
-/// splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

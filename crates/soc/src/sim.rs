@@ -561,11 +561,6 @@ impl SocSim {
             },
         }
     }
-
-    /// Number of streams added so far.
-    pub fn stream_count(&self) -> usize {
-        self.state.streams.len()
-    }
 }
 
 impl SocState {

@@ -29,7 +29,7 @@ fn main() {
         .iter()
         .map(|spec| SweepJob::seeded(spec.name.clone(), spec.clone(), HboConfig::default(), 11))
         .collect();
-    let sweep = runner::run_sweep("device_comparison", jobs, 11, runner::threads_from_args());
+    let sweep = runner::run_sweep("device_comparison", jobs, 11, runner::threads_from_env());
 
     for (spec, outcome) in scenarios.iter().zip(&sweep.outcomes) {
         let zoo = ModelZoo::for_device(&spec.device.name);

@@ -18,6 +18,20 @@ cargo fmt --all --check
 echo "==> cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
 
+# Strict command lines: every experiment binary must reject an unknown
+# flag with exit 2 and print nothing on stdout. Parsing fails before any
+# work starts, so the whole step takes well under a second.
+echo "==> CLI contract: every binary rejects --no-such-flag"
+for src in crates/bench/src/bin/*.rs; do
+  bin="$(basename "$src" .rs)"
+  code=0
+  out="$(target/release/"$bin" --no-such-flag 2>/dev/null)" || code=$?
+  if [ "$code" -ne 2 ] || [ -n "$out" ]; then
+    echo "error: $bin --no-such-flag exited $code, stdout: '$out'" >&2
+    exit 1
+  fi
+done
+
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 

@@ -353,8 +353,13 @@ fn trace_export_is_byte_identical_across_reruns_and_threads() {
             marsim::runner::SweepJob::derived("c", ScenarioSpec::sc1_cf2(), config.clone()),
         ]
     };
+    let traced = marsim::runner::ObserveConfig {
+        traced: true,
+        ..marsim::runner::ObserveConfig::default()
+    };
     let trace = |threads: usize| {
-        marsim::runner::run_sweep_traced("trace_det", jobs(), 7, threads, true)
+        marsim::runner::run_sweep_observed("trace_det", jobs(), 7, threads, traced.clone())
+            .observations
             .trace_json()
             .expect("traced sweep has buffers")
     };
@@ -564,37 +569,39 @@ fn metrics_export_is_byte_identical_across_reruns_and_threads() {
             marsim::runner::SweepJob::derived("c", ScenarioSpec::sc1_cf2(), config.clone()),
         ]
     };
-    let observe = || marsim::runner::ObserveConfig {
-        traced: true,
-        trace_sample: Some(1),
+    let observe = |trace_sample: Option<usize>| marsim::runner::ObserveConfig {
+        traced: trace_sample.is_some(),
+        trace_sample,
         metrics: true,
     };
-    let run = |threads: usize| {
-        marsim::runner::run_sweep_observed("metrics_det", jobs(), 7, threads, observe())
+    let run = |threads: usize, trace_sample: Option<usize>| {
+        marsim::runner::run_sweep_observed("metrics_det", jobs(), 7, threads, observe(trace_sample))
     };
-    let serial = run(1);
-    let text = serial.metrics_text().expect("metrics collected");
+    let serial = run(1, Some(1));
+    let text = serial
+        .observations
+        .metrics_text()
+        .expect("metrics collected");
     assert_eq!(
         Some(text.clone()),
-        run(1).metrics_text(),
+        run(1, Some(1)).observations.metrics_text(),
         "rerun must be byte-identical"
     );
     assert_eq!(
         Some(text.clone()),
-        run(2).metrics_text(),
+        run(2, Some(1)).observations.metrics_text(),
         "2 threads must match serial"
     );
     assert_eq!(
         Some(text.clone()),
-        run(4).metrics_text(),
+        run(4, Some(1)).observations.metrics_text(),
         "4 threads must match serial"
     );
-    // Exactly one job kept Chrome detail; all three fed the aggregator.
-    assert_eq!(
-        serial.outcomes.iter().filter(|o| o.trace.is_some()).count(),
-        1
-    );
-    assert!(serial.outcomes.iter().all(|o| o.metrics.is_some()));
+    // Exactly one job kept Chrome detail; all three fed the aggregator,
+    // so the exposition matches an untraced metered sweep's.
+    let sampled = serial.observations.sampled();
+    assert_eq!(sampled.iter().filter(|&&s| s).count(), 1);
+    assert_eq!(Some(text.clone()), run(2, None).observations.metrics_text());
     // The exposition carries span families from all instrumented layers.
     assert!(text.contains("# TYPE mar_span_count counter"));
     assert!(text.contains("# TYPE mar_span_duration_ns gauge"));
