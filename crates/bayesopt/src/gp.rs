@@ -63,7 +63,8 @@ pub struct GaussianProcess {
     centered: Vec<f64>,
     y_mean: f64,
     y_scale: f64,
-    // Scratch buffers reused across `predict_batch` candidates.
+    // Scratch buffers reused across `predict_batch` blocks and calls.
+    soa_buf: Vec<f64>,
     k_star_buf: Vec<f64>,
     v_buf: Vec<f64>,
 }
@@ -72,6 +73,23 @@ pub struct GaussianProcess {
 #[inline]
 fn row_start(i: usize) -> usize {
     i * (i + 1) / 2
+}
+
+/// Euclidean distances from `x` to every candidate of a struct-of-arrays
+/// block (`soa[d·B + c]` is coordinate `d` of candidate `c`). Per
+/// candidate this is `linalg::euclidean` exactly — squares of `x − z`
+/// accumulated over ascending coordinates from `Sum`'s -0.0, then `sqrt` —
+/// but the block's candidates advance together, so the loop vectorizes.
+#[inline]
+fn block_distances(x: &[f64], soa: &[f64]) -> [f64; PREDICT_BLOCK] {
+    let mut acc = [-0.0; PREDICT_BLOCK];
+    for (&xd, zd) in x.iter().zip(soa.chunks_exact(PREDICT_BLOCK)) {
+        for (a, &z) in acc.iter_mut().zip(zd) {
+            let t = xd - z;
+            *a += t * t;
+        }
+    }
+    acc.map(f64::sqrt)
 }
 
 impl GaussianProcess {
@@ -98,6 +116,7 @@ impl GaussianProcess {
             centered: Vec::new(),
             y_mean: 0.0,
             y_scale: 1.0,
+            soa_buf: Vec::new(),
             k_star_buf: Vec::new(),
             v_buf: Vec::new(),
         }
@@ -217,11 +236,8 @@ impl GaussianProcess {
 
         // Full ladder: the kernel values come from the cached distances,
         // so each rung only rewrites the diagonal.
-        let mut gram: Vec<f64> = self
-            .dist
-            .iter()
-            .map(|&r| self.kernel.eval_from_distance(r))
-            .collect();
+        let mut gram = self.dist.clone();
+        self.kernel.eval_from_distance_batch(&mut gram);
         for (idx, jitter) in JITTERS.iter().enumerate() {
             let diag = self.kernel.eval_from_distance(0.0) + (self.noise_var + jitter);
             for i in 0..n {
@@ -261,61 +277,81 @@ impl GaussianProcess {
         (mu, (var.max(0.0)) * self.y_scale * self.y_scale)
     }
 
-    /// Posterior mean and variance at every point of `zs` — the batched
-    /// form of [`Self::predict`] the acquisition-scoring pass uses.
+    /// Posterior mean and variance at every candidate of the row-major
+    /// `zs` (`dim` values per candidate), written into `out` in candidate
+    /// order — the batched form of [`Self::predict`] the acquisition
+    /// pass uses.
     ///
-    /// Bit-identical to calling `predict` per point — every per-candidate
-    /// arithmetic operation happens in the same order — but candidates are
-    /// processed in blocks of [`PREDICT_BLOCK`]: the cross-covariance block
-    /// and the multi-RHS forward substitution
-    /// ([`Cholesky::solve_lower_multi_into`]) interleave independent
-    /// candidates, so the per-row divide chain that serializes the scalar
-    /// solve pipelines across the block, and the `k_star` / solve buffers
-    /// are allocated once for the whole batch instead of twice per
-    /// candidate.
+    /// Bit-identical to calling `predict` per candidate: every
+    /// per-candidate arithmetic operation happens in the same order. The
+    /// batch runs in blocks of 8 candidates (`PREDICT_BLOCK`):
+    ///
+    /// * the block is transposed to struct-of-arrays, so the distance
+    ///   pass (`linalg::euclidean`'s square-accumulate-`sqrt`, ascending
+    ///   coordinates) runs across the block's candidates at once;
+    /// * the kernel runs over the whole cross-covariance block in one
+    ///   [`Kernel::eval_from_distance_batch`] call;
+    /// * the multi-RHS forward substitution
+    ///   ([`Cholesky::solve_lower_multi_into`]) interleaves the block's
+    ///   candidates, so the per-row divide chain that serializes the
+    ///   scalar solve pipelines across them.
+    ///
+    /// Every buffer is reused across calls: a warmed-up GP scores a batch
+    /// without allocating.
     ///
     /// # Panics
     ///
-    /// Panics if the GP is not fitted.
-    pub fn predict_batch<Z: AsRef<[f64]>>(&mut self, zs: &[Z]) -> Vec<(f64, f64)> {
+    /// Panics if the GP is not fitted, `dim` differs from the observations'
+    /// dimension, or `zs.len()` is not a multiple of `dim`.
+    pub fn predict_batch(&mut self, zs: &[f64], dim: usize, out: &mut Vec<(f64, f64)>) {
         assert!(self.is_fitted(), "GP not fitted: call fit()");
+        assert_eq!(dim, self.xs[0].len(), "dimension mismatch");
+        assert_eq!(zs.len() % dim, 0, "candidate matrix is not {dim} wide");
         let chol = self.chol.as_ref().expect("GP not fitted: call fit()");
         let n = self.xs.len();
         let signal_var = self.kernel.signal_var();
-        let mut out = Vec::with_capacity(zs.len());
-        for chunk in zs.chunks(PREDICT_BLOCK) {
-            let w = chunk.len();
-            // Row-major n×w cross-covariance block: row i holds
-            // k(x_i, z_c) for every candidate c of the chunk. Distances
-            // land first and the kernel is applied in place — keeping the
-            // exp-bearing kernel pass out of the distance loop lets the
-            // latter vectorize.
-            self.k_star_buf.clear();
-            self.k_star_buf.resize(n * w, 0.0);
-            for (i, x) in self.xs.iter().enumerate() {
-                let row = &mut self.k_star_buf[i * w..(i + 1) * w];
-                for (c, z) in chunk.iter().enumerate() {
-                    row[c] = Kernel::distance(x, z.as_ref());
+        out.clear();
+        // Every block is computed PREDICT_BLOCK wide. In a ragged last
+        // block the lanes past its candidates hold stale coordinates; they
+        // run through the same lane-independent arithmetic and are never
+        // written to `out`.
+        self.soa_buf.resize(dim * PREDICT_BLOCK, 0.0);
+        self.k_star_buf.resize(n * PREDICT_BLOCK, 0.0);
+        for chunk in zs.chunks(PREDICT_BLOCK * dim) {
+            // Struct-of-arrays block: soa[d·B + c] is coordinate d of
+            // candidate c.
+            for (c, z) in chunk.chunks_exact(dim).enumerate() {
+                for (d, &v) in z.iter().enumerate() {
+                    self.soa_buf[d * PREDICT_BLOCK + c] = v;
                 }
             }
+            // Row-major n×B cross-covariance block: row i holds k(x_i, z_c)
+            // for every candidate c of the block. Distances land first and
+            // the kernel is applied in place.
+            let (k_rows, _) = self.k_star_buf.as_chunks_mut::<PREDICT_BLOCK>();
+            for (x, row) in self.xs.iter().zip(k_rows) {
+                *row = block_distances(x, &self.soa_buf);
+            }
             self.kernel.eval_from_distance_batch(&mut self.k_star_buf);
-            chol.solve_lower_multi_into(&self.k_star_buf, w, &mut self.v_buf);
-            for c in 0..w {
-                // Same accumulation order as linalg::dot (ascending i),
-                // so the sums match the scalar path bit for bit.
-                let mut k_dot_alpha = 0.0;
-                let mut v_dot_v = 0.0;
-                for i in 0..n {
-                    k_dot_alpha += self.k_star_buf[i * w + c] * self.alpha[i];
-                    let v = self.v_buf[i * w + c];
-                    v_dot_v += v * v;
+            chol.solve_lower_multi_into::<PREDICT_BLOCK>(&self.k_star_buf, &mut self.v_buf);
+            // Same accumulation as linalg::dot per candidate: ascending i
+            // from the -0.0 that f64's `Sum` starts at.
+            let mut k_dot_alpha = [-0.0; PREDICT_BLOCK];
+            let mut v_dot_v = [-0.0; PREDICT_BLOCK];
+            let (k_rows, _) = self.k_star_buf.as_chunks::<PREDICT_BLOCK>();
+            let (v_rows, _) = self.v_buf.as_chunks::<PREDICT_BLOCK>();
+            for ((k_row, v_row), &a) in k_rows.iter().zip(v_rows).zip(&self.alpha) {
+                for c in 0..PREDICT_BLOCK {
+                    k_dot_alpha[c] += k_row[c] * a;
+                    v_dot_v[c] += v_row[c] * v_row[c];
                 }
-                let mu = self.y_mean + self.y_scale * k_dot_alpha;
-                let var = signal_var - v_dot_v;
+            }
+            for (kda, vdv) in k_dot_alpha.iter().zip(&v_dot_v).take(chunk.len() / dim) {
+                let mu = self.y_mean + self.y_scale * kda;
+                let var = signal_var - vdv;
                 out.push((mu, (var.max(0.0)) * self.y_scale * self.y_scale));
             }
         }
-        out
     }
 
     /// The observed inputs.
@@ -593,21 +629,89 @@ mod tests {
 
     #[test]
     fn predict_batch_is_bit_identical_to_predict() {
-        let mut gp = GaussianProcess::new(Kernel::paper_default(), 1e-4);
-        for i in 0..15 {
-            let z = i as f64 * 0.3;
-            gp.add_observation(vec![z, (z * 2.0).cos()], z.sin());
-        }
+        use simcore::check::{self, u64s, usizes};
+        use simcore::prop_assert_eq;
+        use simcore::rand::{Rng, SeedableRng, StdRng};
+        // Random GPs over every kernel family, 1–6 input dimensions and
+        // 1–24 observations, scored on batches of 1, 7 and 61 candidates
+        // (a lone ragged block, and full blocks plus a ragged tail): every
+        // flat-batch posterior must equal scalar `predict` bit for bit.
+        const BATCHES: [usize; 3] = [1, 7, 61];
+        check::check(
+            "predict_batch_is_bit_identical_to_predict",
+            (
+                usizes(0..4),
+                usizes(1..=6),
+                usizes(1..=24),
+                usizes(0..BATCHES.len()),
+                u64s(..),
+            ),
+            |&(family, dim, n, batch, seed)| {
+                let mut r = StdRng::seed_from_u64(seed);
+                let kernel = [
+                    Kernel::Matern12 {
+                        length_scale: 1.0,
+                        signal_var: 1.0,
+                    },
+                    Kernel::Matern32 {
+                        length_scale: 1.0,
+                        signal_var: 1.5,
+                    },
+                    Kernel::paper_default(),
+                    Kernel::Rbf {
+                        length_scale: 1.0,
+                        signal_var: 0.7,
+                    },
+                ][family]
+                    .with_length_scale(r.gen_range(0.2..3.0));
+                let mut gp = GaussianProcess::new(kernel, 1e-4);
+                for _ in 0..n {
+                    let z: Vec<f64> = (0..dim).map(|_| r.gen_range(-2.0..2.0)).collect();
+                    gp.add_observation(z, r.gen_range(-5.0..5.0));
+                }
+                if gp.fit().is_err() {
+                    return Ok(());
+                }
+                let queries: Vec<f64> = (0..BATCHES[batch] * dim)
+                    .map(|_| r.gen_range(-3.0..3.0))
+                    .collect();
+                let mut posterior = Vec::new();
+                gp.predict_batch(&queries, dim, &mut posterior);
+                prop_assert_eq!(posterior.len(), BATCHES[batch]);
+                for (q, &(mu_b, var_b)) in queries.chunks_exact(dim).zip(&posterior) {
+                    let (mu, var) = gp.predict(q);
+                    prop_assert_eq!(
+                        mu.to_bits(),
+                        mu_b.to_bits(),
+                        "mean at {q:?}: {mu} vs {mu_b}"
+                    );
+                    prop_assert_eq!(
+                        var.to_bits(),
+                        var_b.to_bits(),
+                        "variance at {q:?}: {var} vs {var_b}"
+                    );
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn predict_batch_reuses_its_output_buffer() {
+        let mut gp = fitted_on(|z| z.sin(), &[0.0, 0.5, 1.0, 1.5, 2.0]);
+        let mut out = vec![(9.0, 9.0); 40];
+        gp.predict_batch(&[0.25, 0.75, 1.25], 1, &mut out);
+        assert_eq!(out.len(), 3);
+        assert_eq!(out[1], gp.predict(&[0.75]));
+    }
+
+    #[test]
+    #[should_panic(expected = "not 2 wide")]
+    fn predict_batch_rejects_a_ragged_matrix() {
+        let mut gp = GaussianProcess::new(Kernel::paper_default(), 1e-6);
+        gp.add_observation(vec![0.0, 0.0], 0.0);
         gp.fit().unwrap();
-        let queries: Vec<Vec<f64>> = (0..64)
-            .map(|i| vec![i as f64 * 0.07, (i as f64 * 0.11).sin()])
-            .collect();
-        let batch = gp.predict_batch(&queries);
-        for (q, &(mu_b, var_b)) in queries.iter().zip(&batch) {
-            let (mu, var) = gp.predict(q);
-            assert_eq!(mu.to_bits(), mu_b.to_bits());
-            assert_eq!(var.to_bits(), var_b.to_bits());
-        }
+        gp.predict_batch(&[0.0, 1.0, 2.0], 2, &mut Vec::new());
     }
 
     #[test]

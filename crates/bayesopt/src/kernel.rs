@@ -129,40 +129,105 @@ impl Kernel {
     }
 
     /// Evaluates the kernel in place over a slice of distances — the form
-    /// the GP's blocked batch-predict path uses. Exactly
-    /// `eval_from_distance` mapped over the slice, bit for bit.
+    /// the GP's batched paths use. Exactly `eval_from_distance` mapped
+    /// over the slice, bit for bit.
+    ///
+    /// The kernel family is matched once per call, and each block of
+    /// distances takes two passes: the polynomial/divide pass, which
+    /// vectorizes across distances, then the `exp` pass. Every distance
+    /// sees the operations of `eval_from_distance` in the same order.
     pub fn eval_from_distance_batch(&self, rs: &mut [f64]) {
-        for r in rs.iter_mut() {
-            *r = self.eval_from_distance(*r);
+        match *self {
+            Kernel::Matern12 {
+                length_scale: l,
+                signal_var: s,
+            } => exp_batch(rs, |r| matern12(l, s, r)),
+            Kernel::Matern32 {
+                length_scale: l,
+                signal_var: s,
+            } => exp_batch(rs, |r| matern32(l, s, r)),
+            Kernel::Matern52 {
+                length_scale: l,
+                signal_var: s,
+            } => exp_batch(rs, |r| matern52(l, s, r)),
+            Kernel::Rbf {
+                length_scale: l,
+                signal_var: s,
+            } => exp_batch(rs, |r| rbf(l, s, r)),
         }
     }
 
     /// Evaluates the kernel as a function of the Euclidean distance `r`.
     pub fn eval_from_distance(&self, r: f64) -> f64 {
-        match *self {
+        let (pre, arg) = match *self {
             Kernel::Matern12 {
                 length_scale: l,
                 signal_var: s,
-            } => s * (-r / l).exp(),
+            } => matern12(l, s, r),
             Kernel::Matern32 {
                 length_scale: l,
                 signal_var: s,
-            } => {
-                let q = 3.0_f64.sqrt() * r / l;
-                s * (1.0 + q) * (-q).exp()
-            }
+            } => matern32(l, s, r),
             Kernel::Matern52 {
                 length_scale: l,
                 signal_var: s,
-            } => {
-                // Eq. (7): σ² (1 + √5 r/ℓ + 5r²/(3ℓ²)) exp(−√5 r/ℓ).
-                let q = 5.0_f64.sqrt() * r / l;
-                s * (1.0 + q + 5.0 * r * r / (3.0 * l * l)) * (-q).exp()
-            }
+            } => matern52(l, s, r),
             Kernel::Rbf {
                 length_scale: l,
                 signal_var: s,
-            } => s * (-0.5 * (r / l) * (r / l)).exp(),
+            } => rbf(l, s, r),
+        };
+        pre * arg.exp()
+    }
+}
+
+// Each family as `(pre, arg)` with `k(r) = pre · exp(arg)`: the one
+// definition of the formulas, shared by the scalar and batched paths so
+// the two cannot drift apart.
+
+/// Matérn 1/2: `σ² exp(−r/ℓ)`.
+#[inline(always)]
+fn matern12(l: f64, s: f64, r: f64) -> (f64, f64) {
+    (s, -r / l)
+}
+
+/// Matérn 3/2: `σ² (1 + √3 r/ℓ) exp(−√3 r/ℓ)`.
+#[inline(always)]
+fn matern32(l: f64, s: f64, r: f64) -> (f64, f64) {
+    let q = 3.0_f64.sqrt() * r / l;
+    (s * (1.0 + q), -q)
+}
+
+/// Matérn 5/2, Eq. (7): `σ² (1 + √5 r/ℓ + 5r²/(3ℓ²)) exp(−√5 r/ℓ)`.
+#[inline(always)]
+fn matern52(l: f64, s: f64, r: f64) -> (f64, f64) {
+    let q = 5.0_f64.sqrt() * r / l;
+    (s * (1.0 + q + 5.0 * r * r / (3.0 * l * l)), -q)
+}
+
+/// Squared exponential: `σ² exp(−½ (r/ℓ)²)`.
+#[inline(always)]
+fn rbf(l: f64, s: f64, r: f64) -> (f64, f64) {
+    (s, -0.5 * (r / l) * (r / l))
+}
+
+/// Distances per block of [`exp_batch`]: the `arg` half of a block lives
+/// on the stack.
+const EXP_BLOCK: usize = 64;
+
+/// Applies `r ↦ pre(r) · exp(arg(r))` in place, one block at a time: the
+/// `split` pass first (free of calls, so it vectorizes), then the `exp`
+/// pass.
+#[inline(always)]
+fn exp_batch(rs: &mut [f64], split: impl Fn(f64) -> (f64, f64)) {
+    let mut args = [0.0; EXP_BLOCK];
+    for block in rs.chunks_mut(EXP_BLOCK) {
+        let args = &mut args[..block.len()];
+        for (r, arg) in block.iter_mut().zip(args.iter_mut()) {
+            (*r, *arg) = split(*r);
+        }
+        for (r, arg) in block.iter_mut().zip(args.iter()) {
+            *r *= arg.exp();
         }
     }
 }
@@ -252,8 +317,12 @@ mod tests {
 
     #[test]
     fn batch_eval_is_bit_identical_to_scalar() {
-        let rs: Vec<f64> = (0..64).map(|i| i as f64 * 0.05).collect();
-        for k in KERNELS {
+        // 150 distances: two full stack blocks plus a ragged tail.
+        let rs: Vec<f64> = (0..150).map(|i| i as f64 * 0.05).collect();
+        for k in KERNELS
+            .into_iter()
+            .flat_map(|k| [k, k.with_length_scale(0.3), k.with_length_scale(2.7)])
+        {
             let mut batch = rs.clone();
             k.eval_from_distance_batch(&mut batch);
             for (&r, &v) in rs.iter().zip(&batch) {

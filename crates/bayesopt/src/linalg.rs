@@ -323,32 +323,23 @@ impl Cholesky {
         }
     }
 
-    /// Solves `L Y = B` for `width` right-hand sides at once, with `b` and
-    /// `y` stored row-major (`b[i * width + c]` is entry `i` of RHS `c`).
+    /// Solves `L Y = B` for `W` right-hand sides at once, with `b` and
+    /// `y` stored row-major (`b[i * W + c]` is entry `i` of RHS `c`).
     ///
     /// Performs, per RHS, exactly the operations of [`Self::solve_lower`]
     /// in the same order — the results are bit-identical — but interleaves
     /// the independent columns so the forward-substitution division chain
     /// pipelines and vectorizes instead of serializing on one divide per
-    /// row. On the batched acquisition-scoring pass this is the difference
+    /// row. The compile-time width lets the column loops fully unroll.
+    /// On the batched acquisition-scoring pass this is the difference
     /// between latency-bound and throughput-bound.
     ///
     /// # Panics
     ///
-    /// Panics if `width == 0` or `b.len() != dim() * width`.
-    pub fn solve_lower_multi_into(&self, b: &[f64], width: usize, y: &mut Vec<f64>) {
-        assert!(width > 0, "need at least one right-hand side");
-        assert_eq!(b.len(), self.n * width, "dimension mismatch");
-        // Compile-time width lets the column loops fully unroll; 8 is
-        // the block width the GP scoring pass uses.
-        match width {
-            8 => self.solve_lower_multi_const::<8>(b, y),
-            4 => self.solve_lower_multi_const::<4>(b, y),
-            _ => self.solve_lower_multi_dyn(b, width, y),
-        }
-    }
-
-    fn solve_lower_multi_const<const W: usize>(&self, b: &[f64], y: &mut Vec<f64>) {
+    /// Panics if `W == 0` or `b.len() != dim() * W`.
+    pub fn solve_lower_multi_into<const W: usize>(&self, b: &[f64], y: &mut Vec<f64>) {
+        assert!(W > 0, "need at least one right-hand side");
+        assert_eq!(b.len(), self.n * W, "dimension mismatch");
         let n = self.n;
         y.clear();
         y.resize(n * W, 0.0);
@@ -361,29 +352,6 @@ impl Cholesky {
                 let l = self.data[ri + k];
                 let yk = &done[k * W..(k + 1) * W];
                 for c in 0..W {
-                    yi[c] -= l * yk[c];
-                }
-            }
-            let d = self.data[ri + i];
-            for v in yi.iter_mut() {
-                *v /= d;
-            }
-        }
-    }
-
-    fn solve_lower_multi_dyn(&self, b: &[f64], width: usize, y: &mut Vec<f64>) {
-        let n = self.n;
-        y.clear();
-        y.resize(n * width, 0.0);
-        for i in 0..n {
-            let ri = row_start(i);
-            let (done, rest) = y.split_at_mut(i * width);
-            let yi = &mut rest[..width];
-            yi.copy_from_slice(&b[i * width..(i + 1) * width]);
-            for k in 0..i {
-                let l = self.data[ri + k];
-                let yk = &done[k * width..(k + 1) * width];
-                for c in 0..width {
                     yi[c] -= l * yk[c];
                 }
             }
@@ -634,7 +602,7 @@ mod tests {
                 // rhs holds 5 right-hand sides of length 4, column-major
                 // per candidate: b[i * 5 + c] is entry i of RHS c.
                 let mut y = Vec::new();
-                chol.solve_lower_multi_into(rhs, 5, &mut y);
+                chol.solve_lower_multi_into::<5>(rhs, &mut y);
                 for c in 0..5 {
                     let b: Vec<f64> = (0..4).map(|i| rhs[i * 5 + c]).collect();
                     let scalar = chol.solve_lower(&b);

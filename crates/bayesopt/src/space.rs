@@ -11,18 +11,54 @@ use simcore::rand::Rng;
 
 /// A constrained space of candidate points that the optimizer can sample
 /// from, locally perturb within, and project onto.
+///
+/// A space implements [`Self::sample_into`] (and may override
+/// [`Self::perturb_into`]); the allocating [`Self::sample`] and
+/// [`Self::perturb`] are thin wrappers around them, so both forms draw the
+/// same random numbers in the same order.
 pub trait SampleSpace {
     /// Dimension of points in this space.
     fn dim(&self) -> usize;
 
-    /// Draws a uniform-ish random feasible point.
-    fn sample(&self, rng: &mut dyn simcore::rand::RngCore) -> Vec<f64>;
+    /// Writes a uniform-ish random feasible point into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != dim()`.
+    fn sample_into(&self, rng: &mut dyn simcore::rand::RngCore, out: &mut [f64]);
 
-    /// Draws a feasible point near `base` (Gaussian perturbation of width
-    /// `scale`, projected back onto the feasible set).
+    /// Writes a feasible point near `base` into `out`: a Gaussian
+    /// perturbation of width `scale`, projected back onto the feasible
+    /// set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` or `out` is not `dim()` long.
+    fn perturb_into(
+        &self,
+        base: &[f64],
+        scale: f64,
+        rng: &mut dyn simcore::rand::RngCore,
+        out: &mut [f64],
+    ) {
+        assert_eq!(base.len(), out.len(), "dimension mismatch");
+        for (o, &v) in out.iter_mut().zip(base) {
+            *o = v + scale * gaussian(rng);
+        }
+        self.project(out);
+    }
+
+    /// Draws a uniform-ish random feasible point.
+    fn sample(&self, rng: &mut dyn simcore::rand::RngCore) -> Vec<f64> {
+        let mut z = vec![0.0; self.dim()];
+        self.sample_into(rng, &mut z);
+        z
+    }
+
+    /// Draws a feasible point near `base` (see [`Self::perturb_into`]).
     fn perturb(&self, base: &[f64], scale: f64, rng: &mut dyn simcore::rand::RngCore) -> Vec<f64> {
-        let mut z: Vec<f64> = base.iter().map(|&v| v + scale * gaussian(rng)).collect();
-        self.project(&mut z);
+        let mut z = vec![0.0; self.dim()];
+        self.perturb_into(base, scale, rng, &mut z);
         z
     }
 
@@ -74,11 +110,11 @@ impl SampleSpace for BoxSpace {
         self.bounds.len()
     }
 
-    fn sample(&self, rng: &mut dyn simcore::rand::RngCore) -> Vec<f64> {
-        self.bounds
-            .iter()
-            .map(|&(lo, hi)| if lo == hi { lo } else { rng.gen_range(lo..hi) })
-            .collect()
+    fn sample_into(&self, rng: &mut dyn simcore::rand::RngCore, out: &mut [f64]) {
+        assert_eq!(out.len(), self.dim(), "dimension mismatch");
+        for (v, &(lo, hi)) in out.iter_mut().zip(&self.bounds) {
+            *v = if lo == hi { lo } else { rng.gen_range(lo..hi) };
+        }
     }
 
     fn project(&self, z: &mut [f64]) {
@@ -167,23 +203,23 @@ impl SampleSpace for SimplexBoxSpace {
         self.simplex_dim + 1
     }
 
-    fn sample(&self, rng: &mut dyn simcore::rand::RngCore) -> Vec<f64> {
+    fn sample_into(&self, rng: &mut dyn simcore::rand::RngCore, out: &mut [f64]) {
+        assert_eq!(out.len(), self.dim(), "dimension mismatch");
         // Uniform on the simplex: normalized standard exponentials
         // (Dirichlet(1, …, 1)).
-        let mut z: Vec<f64> = (0..self.simplex_dim)
-            .map(|_| -(rng.gen_range(f64::EPSILON..1.0f64)).ln())
-            .collect();
-        let sum: f64 = z.iter().sum();
-        for v in &mut z {
+        let (c, x) = out.split_at_mut(self.simplex_dim);
+        for v in c.iter_mut() {
+            *v = -(rng.gen_range(f64::EPSILON..1.0f64)).ln();
+        }
+        let sum: f64 = c.iter().sum();
+        for v in c.iter_mut() {
             *v /= sum;
         }
-        let x = if self.x_lo == self.x_hi {
+        x[0] = if self.x_lo == self.x_hi {
             self.x_lo
         } else {
             rng.gen_range(self.x_lo..self.x_hi)
         };
-        z.push(x);
-        z
     }
 
     fn project(&self, z: &mut [f64]) {
@@ -336,6 +372,44 @@ mod tests {
             let z2 = space.perturb(&z, 0.3, &mut r);
             assert!(space.contains(&z2, 1e-9), "{z2:?}");
         }
+    }
+
+    #[test]
+    fn into_forms_match_the_allocating_forms_draw_for_draw() {
+        // A flat buffer filled with sample_into / perturb_into over stale
+        // contents equals the same calls through sample / perturb on an
+        // identical RNG stream.
+        let spaces: [Box<dyn SampleSpace>; 2] = [
+            Box::new(SimplexBoxSpace::new(4, 0.2, 1.0)),
+            Box::new(BoxSpace::new(vec![(0.0, 1.0), (0.5, 0.5), (-2.0, 2.0)])),
+        ];
+        for space in spaces {
+            let dim = space.dim();
+            let (mut a, mut b) = (rng(8), rng(8));
+            let base = space.sample(&mut rng(9));
+            let mut flat = vec![f64::NAN; 6 * dim];
+            for (i, z) in flat.chunks_exact_mut(dim).enumerate() {
+                if i % 2 == 0 {
+                    space.sample_into(&mut a, z);
+                } else {
+                    space.perturb_into(&base, 0.3, &mut a, z);
+                }
+            }
+            for (i, z) in flat.chunks_exact(dim).enumerate() {
+                let expected = if i % 2 == 0 {
+                    space.sample(&mut b)
+                } else {
+                    space.perturb(&base, 0.3, &mut b)
+                };
+                assert_eq!(z, expected.as_slice(), "point {i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn sample_into_rejects_a_short_buffer() {
+        SimplexBoxSpace::new(3, 0.2, 1.0).sample_into(&mut rng(1), &mut [0.0; 3]);
     }
 
     #[test]

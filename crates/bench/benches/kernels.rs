@@ -97,11 +97,35 @@ fn bench_gp(h: &mut Harness) {
         },
         |mut gp| gp.fit().unwrap(),
     );
-    // Batched posterior over a full acquisition candidate cloud.
-    let candidates: Vec<Vec<f64>> = {
-        let mut r = StdRng::seed_from_u64(2);
-        (0..1280).map(|_| space.sample(&mut r)).collect()
+    // The cold acquisition cloud: BoConfig::default()'s global samples
+    // plus local perturbations, in one row-major buffer as
+    // BoOptimizer::suggest builds it.
+    let cold = bayesopt::BoConfig::default();
+    let dim = space.dim();
+    let mut candidates = vec![0.0; (cold.n_candidates + cold.n_local) * dim];
+    let fill_candidates = |buf: &mut [f64], r: &mut StdRng| {
+        let incumbent = [0.25, 0.25, 0.5, 0.8];
+        let (global, local) = buf.split_at_mut(cold.n_candidates * dim);
+        for z in global.chunks_exact_mut(dim) {
+            space.sample_into(r, z);
+        }
+        for z in local.chunks_exact_mut(dim) {
+            space.perturb_into(&incumbent, cold.local_scale, r, z);
+        }
     };
+    fill_candidates(&mut candidates, &mut StdRng::seed_from_u64(2));
+    // Candidate generation alone: 1024 samples + 256 perturbations.
+    let mut gen_buf = candidates.clone();
+    h.bench_batched(
+        "bo_candidates_1280",
+        || StdRng::seed_from_u64(3),
+        |mut r| {
+            fill_candidates(&mut gen_buf, &mut r);
+            black_box(gen_buf[0])
+        },
+    );
+    // Batched posterior over the full acquisition candidate cloud.
+    let mut posterior = Vec::with_capacity(candidates.len() / dim);
     h.bench_batched(
         "gp_predict_batch_1280",
         || {
@@ -112,7 +136,10 @@ fn bench_gp(h: &mut Harness) {
             gp.fit().unwrap();
             gp
         },
-        |mut gp| black_box(gp.predict_batch(&candidates)),
+        |mut gp| {
+            gp.predict_batch(&candidates, dim, &mut posterior);
+            black_box(posterior[0])
+        },
     );
     // Type-II MLE grid search at K = 20: the pairwise-distance cache is
     // shared across all candidate length scales.

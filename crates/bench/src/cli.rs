@@ -32,7 +32,7 @@ impl Args {
     }
 
     /// Arguments from an explicit list (program name excluded).
-    fn new(usage: &'static str, argv: impl IntoIterator<Item = String>) -> Self {
+    pub(crate) fn new(usage: &'static str, argv: impl IntoIterator<Item = String>) -> Self {
         Args {
             usage,
             tokens: argv.into_iter().map(|t| (t, false)).collect(),
@@ -100,6 +100,20 @@ impl Args {
         }
     }
 
+    /// Splits every `--flag=value` token into `--flag` and `value`, so
+    /// both spellings parse alike.
+    pub(crate) fn split_inline_values(&mut self) {
+        self.tokens = std::mem::take(&mut self.tokens)
+            .into_iter()
+            .flat_map(|(t, taken)| match t.split_once('=') {
+                Some((flag, value)) if t.starts_with("--") => {
+                    vec![(flag.to_owned(), taken), (value.to_owned(), taken)]
+                }
+                _ => vec![(t, taken)],
+            })
+            .collect();
+    }
+
     /// Whether the valueless switch `flag` is present.
     pub fn switch(&mut self, flag: &str) -> bool {
         self.take_once(flag).is_some()
@@ -164,7 +178,7 @@ impl Args {
     /// `Err` with the rejection reason: an unconsumed flag (unknown to
     /// the binary), else the first failed lookup or check, else an
     /// unconsumed positional.
-    fn check(self) -> Result<(), String> {
+    pub(crate) fn check(self) -> Result<(), String> {
         let left: Vec<&str> = self
             .tokens
             .iter()

@@ -2,12 +2,12 @@
 //!
 //! The workspace builds hermetically (no registry crates), so `cargo
 //! bench` targets use this small harness instead of `criterion`: warm up,
-//! take N timed samples, report the median as one JSON line on stdout.
-//! JSON-lines output keeps results machine-diffable across runs without
-//! pulling in a serialization crate.
+//! take N timed samples, report the median and the spread (p10, p90,
+//! min) as one JSON line on stdout. JSON-lines output keeps results
+//! machine-diffable across runs without pulling in a serialization crate.
 //!
 //! ```text
-//! {"group":"bayesopt","bench":"gp_fit_20x4","median_ns":183042,"samples":15,"warmup_iters":3}
+//! {"group":"bayesopt","bench":"gp_fit_20x4","median_ns":183042,"p10_ns":179811,"p90_ns":201337,"min_ns":178950,"samples":15,"warmup_iters":3}
 //! ```
 //!
 //! Usage from a `harness = false` bench target:
@@ -22,6 +22,8 @@
 use std::time::Instant;
 
 use marsim::RunnerReport;
+
+use crate::cli::Args;
 
 /// Emits a [`RunnerReport`] as one JSON line on stdout — the same
 /// JSON-lines contract as the bench output above, so runner-backed
@@ -39,6 +41,37 @@ pub fn emit_runner_report(report: &RunnerReport) {
 const DEFAULT_SAMPLES: u32 = 15;
 /// Warmup iterations before sampling.
 const DEFAULT_WARMUP: u32 = 3;
+
+/// The command line every bench target accepts.
+const USAGE: &str =
+    "cargo bench -p hbo-bench --bench <TARGET> -- [FILTER] [--samples N] [--warmup N]";
+
+/// Order statistics of one bench's timed samples, in nanoseconds.
+///
+/// `median` is the upper median (`sorted[n / 2]`); `p10` and `p90` are
+/// nearest-rank percentiles (`sorted[⌈p·n⌉ − 1]`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SampleStats {
+    median: u128,
+    p10: u128,
+    p90: u128,
+    min: u128,
+}
+
+impl SampleStats {
+    /// Summarizes a non-empty set of samples.
+    fn new(mut ns: Vec<u128>) -> Self {
+        assert!(!ns.is_empty(), "need at least one sample");
+        ns.sort_unstable();
+        let nearest_rank = |pct: usize| ns[(pct * ns.len()).div_ceil(100).max(1) - 1];
+        SampleStats {
+            median: ns[ns.len() / 2],
+            p10: nearest_rank(10),
+            p90: nearest_rank(90),
+            min: ns[0],
+        }
+    }
+}
 
 /// A benchmark group: runs closures, reports median walltime as JSON.
 #[derive(Debug)]
@@ -63,37 +96,47 @@ impl Harness {
     /// Like [`Harness::new`], but honors command-line options
     /// (`cargo bench --bench kernels -- gp_fit --samples 3 --warmup 1`):
     ///
-    /// * the first bare argument is a substring filter on bench names;
-    /// * `--samples N` / `--samples=N` overrides the timed sample count
-    ///   (smoke runs in CI use a tiny N);
-    /// * `--warmup N` / `--warmup=N` overrides the warmup iterations;
-    /// * any other `--flag` (e.g. the `--bench` cargo forwards) is ignored.
+    /// * the one bare argument is a substring filter on bench names;
+    /// * `--samples N` / `--samples=N` sets the timed sample count (N ≥ 1;
+    ///   smoke runs in CI use a tiny N);
+    /// * `--warmup N` / `--warmup=N` sets the warmup iterations;
+    /// * the `--bench` that cargo passes to every bench target is ignored.
+    ///
+    /// Anything else — an unknown flag, a missing or malformed value,
+    /// `--samples 0`, a second bare argument — prints the error and the
+    /// usage on stderr and exits 2 before any bench runs.
     pub fn from_args(group: &str) -> Self {
-        Self::from_arg_list(group, std::env::args().skip(1))
+        let mut args = Args::from_env(USAGE);
+        let h = Self::parse(group, &mut args);
+        args.finish();
+        h
     }
 
-    fn from_arg_list(group: &str, args: impl IntoIterator<Item = String>) -> Self {
+    /// [`Self::from_args`] over an explicit argument list, returning the
+    /// rejection instead of exiting.
+    #[cfg(test)]
+    fn from_arg_list(group: &str, argv: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut args = Args::new(USAGE, argv);
+        let h = Self::parse(group, &mut args);
+        args.check().map(|()| h)
+    }
+
+    /// Pulls the harness options out of `args`; rejections are left in
+    /// `args` for its caller to report.
+    fn parse(group: &str, args: &mut Args) -> Self {
+        args.split_inline_values();
+        args.switch("--bench");
         let mut h = Harness::new(group);
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            let mut take = |inline: Option<&str>| -> Option<u32> {
-                inline
-                    .map(str::to_owned)
-                    .or_else(|| args.next())
-                    .and_then(|v| v.parse().ok())
-            };
-            if let Some(v) = arg.strip_prefix("--samples") {
-                if let Some(n) = take(v.strip_prefix('=')) {
-                    h.samples = n.max(1);
-                }
-            } else if let Some(v) = arg.strip_prefix("--warmup") {
-                if let Some(n) = take(v.strip_prefix('=')) {
-                    h.warmup = n;
-                }
-            } else if !arg.starts_with("--") && h.filter.is_none() {
-                h.filter = Some(arg);
+        if let Some(samples) = args.value::<u32>("--samples") {
+            if samples == 0 {
+                args.reject("--samples must be at least 1");
             }
+            h.samples = samples.max(1);
         }
+        if let Some(warmup) = args.value::<u32>("--warmup") {
+            h.warmup = warmup;
+        }
+        h.filter = args.positional();
         h
     }
 
@@ -120,11 +163,8 @@ impl Harness {
         S: FnMut() -> I,
         F: FnMut(I) -> T,
     {
-        if let Some(median_ns) = self.measure(name, setup, routine) {
-            println!(
-                "{{\"group\":\"{}\",\"bench\":\"{}\",\"median_ns\":{},\"samples\":{},\"warmup_iters\":{}}}",
-                self.group, name, median_ns, self.samples, self.warmup
-            );
+        if let Some(stats) = self.measure(name, setup, routine) {
+            println!("{{{}}}", self.row(name, &stats));
         }
     }
 
@@ -138,20 +178,41 @@ impl Harness {
         S: FnMut() -> I,
         F: FnMut(I) -> T,
     {
-        if let Some(median_ns) = self.measure(name, setup, routine) {
-            let wall_secs = median_ns as f64 * 1e-9;
+        if let Some(stats) = self.measure(name, setup, routine) {
+            let wall_secs = stats.median as f64 * 1e-9;
             let sims_per_wall_sec = simulated_secs / wall_secs;
             println!(
-                "{{\"group\":\"{}\",\"bench\":\"{}\",\"median_ns\":{},\"samples\":{},\"warmup_iters\":{},\"sims_per_wall_sec\":{:.1}}}",
-                self.group, name, median_ns, self.samples, self.warmup, sims_per_wall_sec
+                "{{{},\"sims_per_wall_sec\":{:.1}}}",
+                self.row(name, &stats),
+                sims_per_wall_sec
             );
         }
     }
 
+    /// The fields every bench row carries, without the enclosing braces.
+    fn row(&self, name: &str, stats: &SampleStats) -> String {
+        format!(
+            "\"group\":\"{}\",\"bench\":\"{}\",\"median_ns\":{},\"p10_ns\":{},\"p90_ns\":{},\"min_ns\":{},\"samples\":{},\"warmup_iters\":{}",
+            self.group,
+            name,
+            stats.median,
+            stats.p10,
+            stats.p90,
+            stats.min,
+            self.samples,
+            self.warmup
+        )
+    }
+
     /// Shared measurement core: warm up, take N samples of
-    /// `routine(setup())` timing only the routine, return the median.
-    /// `None` when `name` fails the command-line filter.
-    fn measure<I, T, S, F>(&mut self, name: &str, mut setup: S, mut routine: F) -> Option<u128>
+    /// `routine(setup())` timing only the routine, return their order
+    /// statistics. `None` when `name` fails the command-line filter.
+    fn measure<I, T, S, F>(
+        &mut self,
+        name: &str,
+        mut setup: S,
+        mut routine: F,
+    ) -> Option<SampleStats>
     where
         S: FnMut() -> I,
         F: FnMut(I) -> T,
@@ -162,7 +223,7 @@ impl Harness {
         for _ in 0..self.warmup {
             std::hint::black_box(routine(setup()));
         }
-        let mut sample_ns: Vec<u128> = (0..self.samples)
+        let sample_ns: Vec<u128> = (0..self.samples)
             .map(|_| {
                 let input = setup();
                 let start = Instant::now();
@@ -170,8 +231,7 @@ impl Harness {
                 start.elapsed().as_nanos()
             })
             .collect();
-        sample_ns.sort_unstable();
-        Some(sample_ns[sample_ns.len() / 2])
+        Some(SampleStats::new(sample_ns))
     }
 }
 
@@ -192,24 +252,69 @@ mod tests {
         assert_eq!(skipped, 0, "filtered-out bench must not execute");
     }
 
-    fn parse(args: &[&str]) -> Harness {
+    fn parse(args: &[&str]) -> Result<Harness, String> {
         Harness::from_arg_list("g", args.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn from_arg_list_parses_filter_samples_and_warmup() {
-        let h = parse(&["--bench", "gp_fit", "--samples", "3", "--warmup=1"]);
+        let h = parse(&["--bench", "gp_fit", "--samples", "3", "--warmup=1"]).unwrap();
         assert_eq!(h.filter.as_deref(), Some("gp_fit"));
         assert_eq!(h.samples, 3);
         assert_eq!(h.warmup, 1);
         // Values of consumed flags must not be mistaken for a filter.
-        let h = parse(&["--samples", "7"]);
+        let h = parse(&["--samples", "7"]).unwrap();
         assert_eq!(h.filter, None);
         assert_eq!(h.samples, 7);
-        // samples is clamped to at least one; defaults survive garbage.
-        let h = parse(&["--samples=0", "--warmup", "junk"]);
-        assert_eq!(h.samples, 1);
-        assert_eq!(h.warmup, DEFAULT_WARMUP);
+        // No flags at all: the defaults.
+        let h = parse(&[]).unwrap();
+        assert_eq!((h.samples, h.warmup), (DEFAULT_SAMPLES, DEFAULT_WARMUP));
+        let h = parse(&["--warmup", "0"]).unwrap();
+        assert_eq!(h.warmup, 0);
+    }
+
+    #[test]
+    fn from_arg_list_rejects_malformed_values() {
+        for (args, why) in [
+            (
+                &["--samples", "abc"][..],
+                "invalid value \"abc\" for --samples",
+            ),
+            (&["--samples"], "missing value for --samples"),
+            (&["--samples", "--bench"], "missing value for --samples"),
+            (&["--samples="], "invalid value \"\" for --samples"),
+            (&["--warmup"], "missing value for --warmup"),
+            (&["--warmup", "-1"], "invalid value \"-1\" for --warmup"),
+            (&["--warmup=x"], "invalid value \"x\" for --warmup"),
+            (&["--samples", "0"], "--samples must be at least 1"),
+            (
+                &["--samples", "2", "--samples", "3"],
+                "--samples given more than once",
+            ),
+            (&["--sample", "3"], "unknown flag --sample"),
+            (&["gp_fit", "gmsd"], "unexpected argument \"gmsd\""),
+        ] {
+            let err = parse(args).expect_err(&format!("{args:?} must be rejected"));
+            assert!(err.contains(why), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn sample_stats_are_nearest_rank_order_statistics() {
+        let s = SampleStats::new((1..=15).rev().map(|v| v * 10).collect());
+        assert_eq!(
+            s,
+            SampleStats {
+                median: 80,
+                p10: 20,
+                p90: 140,
+                min: 10,
+            }
+        );
+        let one = SampleStats::new(vec![5]);
+        assert_eq!((one.median, one.p10, one.p90, one.min), (5, 5, 5, 5));
+        let three = SampleStats::new(vec![3, 1, 2]);
+        assert_eq!((three.p10, three.median, three.p90), (1, 2, 3));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Runs the kernels bench and records the medians at the repo root as
+# Runs the kernels bench and records the medians (with p10, p90 and min)
+# at the repo root as
 # BENCH_kernels.json (JSON lines, one object per bench) — the tracked
 # perf baseline the EXPERIMENTS numbers refer to — or in the file named
 # by --out.
@@ -54,7 +55,7 @@ rows = {}
 with open(sys.argv[1]) as f:
     for i, line in enumerate(f, 1):
         obj = json.loads(line)
-        for key in ("group", "bench", "median_ns"):
+        for key in ("group", "bench", "median_ns", "p10_ns", "p90_ns", "min_ns"):
             if key not in obj:
                 raise SystemExit(f"line {i}: missing key {key!r}")
         rows[obj["bench"]] = obj
@@ -85,14 +86,20 @@ if sys.argv[2] == "0":
         if bench not in rows:
             raise SystemExit(f"missing trace overhead row {bench!r}")
     # The amortized-control-plane rows: the warm-start suggest variant
-    # next to the cold bo_suggest_k20 baseline.
-    for bench in ("bo_suggest_k20", "bo_suggest_warm_k20"):
+    # next to the cold bo_suggest_k20 baseline, plus the two halves of
+    # the cold acquisition pass (candidate generation, batched posterior).
+    for bench in (
+        "bo_suggest_k20",
+        "bo_suggest_warm_k20",
+        "bo_candidates_1280",
+        "gp_predict_batch_1280",
+    ):
         if bench not in rows:
             raise SystemExit(f"missing BO suggest row {bench!r}")
 print(f"{sys.argv[1]}: {i} benches, all lines parse")
 EOF
 elif command -v jq >/dev/null 2>&1; then
-  jq -e '.group and .bench and (.median_ns | numbers)' < "$OUT" >/dev/null
+  jq -e '.group and .bench and (.median_ns | numbers) and (.p10_ns | numbers) and (.p90_ns | numbers) and (.min_ns | numbers)' < "$OUT" >/dev/null
   echo "$OUT: $(wc -l < "$OUT") benches, all lines parse"
 else
   grep -cq '"median_ns":' "$OUT"

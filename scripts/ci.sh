@@ -12,6 +12,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> bash -n on the bench scripts"
+bash -n scripts/bench.sh
+bash -n scripts/bench_ab.sh
+
 # --workspace: the root package alone does not depend on hbo-bench, and
 # the whole-paper golden below runs run_all, which starts its sibling
 # experiment binaries from target/release.
