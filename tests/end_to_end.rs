@@ -289,6 +289,72 @@ fn traced_hbo_session_is_pinned() {
     assert_eq!(got, golden, "traced SC1-CF2 HBO session drifted");
 }
 
+/// Golden pin of a traced `edge_offload` cell's exports: the length and
+/// FNV-1a of its Chrome trace (edge-lane and radio spans with three
+/// arguments, `delivered` instants, and per-window edge sims shifted onto
+/// the app timeline through `Tracer::offset_by`) and of its metrics
+/// exposition. A `TeeSink` feeding both sinks must yield exactly what
+/// each sink yields alone.
+#[test]
+fn edge_trace_export_is_pinned() {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use simcore::metrics::AggregatingSink;
+    use simcore::trace::{chrome_trace_json, ChromeTraceSink, TeeSink, TraceJob, Tracer};
+
+    let config = HboConfig {
+        n_initial: 2,
+        iterations: 2,
+        ..HboConfig::default()
+    };
+    let cell = |tracer: Tracer| {
+        marsim::edge::sweep_cell_traced(&ScenarioSpec::sc2_cf2(), 2, 50.0, &config, 42, tracer).0
+    };
+    let export = |sink: &ChromeTraceSink| {
+        chrome_trace_json(&[TraceJob {
+            name: "edge cell".to_owned(),
+            buffer: sink.snapshot(),
+        }])
+    };
+
+    let chrome = Rc::new(RefCell::new(ChromeTraceSink::new()));
+    let rows = cell(Tracer::with_sink(Rc::clone(&chrome)));
+    let trace = export(&chrome.borrow());
+    let agg = Rc::new(RefCell::new(AggregatingSink::default()));
+    assert_eq!(cell(Tracer::with_sink(Rc::clone(&agg))), rows);
+    let metrics = agg.borrow().snapshot().render_prometheus();
+
+    let got = format!(
+        "trace_len={} trace_fnv={:#x}\nmetrics_len={} metrics_fnv={:#x}",
+        trace.len(),
+        fnv1a(trace.as_bytes()),
+        metrics.len(),
+        fnv1a(metrics.as_bytes()),
+    );
+    let golden = concat!(
+        "trace_len=472553 trace_fnv=0xfce680bd5568a8f9\n",
+        "metrics_len=26942 metrics_fnv=0x32e8aeab6527dd83",
+    );
+    assert_eq!(got, golden, "traced edge_offload cell exports drifted");
+    let stats = simcore::trace::chrome_trace_stats(&trace).expect("valid Chrome trace JSON");
+    assert!(stats.spans_in_cat("edgelink") > 0 && stats.instants > 0);
+    assert!(trace.contains("\"name\":\"delivered\"") && trace.contains("\"attempts\":"));
+
+    let tee = Rc::new(RefCell::new(TeeSink {
+        first: ChromeTraceSink::new(),
+        second: AggregatingSink::default(),
+    }));
+    assert_eq!(cell(Tracer::with_sink(Rc::clone(&tee))), rows);
+    let tee = tee.borrow();
+    assert_eq!(export(&tee.first), trace, "tee Chrome export differs");
+    assert_eq!(
+        tee.second.snapshot().render_prometheus(),
+        metrics,
+        "tee exposition differs"
+    );
+}
+
 /// Golden pin of the measurement loop itself (no optimizer): a placed
 /// SC1-CF1 app's 2 s measurement window, bit for bit.
 #[test]
