@@ -1,7 +1,7 @@
 //! The Bayesian-optimization loop: suggest → evaluate → observe.
 
 use simcore::rand::RngCore;
-use simcore::trace::{ArgValue, Tracer, TrackId};
+use simcore::trace::{ArgValue, NameId, Tracer, TrackId};
 use simcore::SimTime;
 
 use crate::acquisition::Acquisition;
@@ -76,8 +76,20 @@ pub struct BoOptimizer<S> {
     /// Posterior `(mean, variance)` per candidate, reused likewise.
     posterior: Vec<(f64, f64)>,
     tracer: Tracer,
-    trace_track: Option<TrackId>,
+    /// Set while an enabled tracer is installed.
+    trace: Option<BoTraceIds>,
     trace_now: SimTime,
+}
+
+/// The optimizer's `bo suggest` track and its interned event names.
+#[derive(Debug, Clone, Copy)]
+struct BoTraceIds {
+    track: TrackId,
+    fit: NameId,
+    score: NameId,
+    random_design: NameId,
+    fit_fallback: NameId,
+    chosen: NameId,
 }
 
 impl<S: SampleSpace> BoOptimizer<S> {
@@ -99,7 +111,7 @@ impl<S: SampleSpace> BoOptimizer<S> {
             candidates: Vec::new(),
             posterior: Vec::new(),
             tracer: Tracer::disabled(),
-            trace_track: None,
+            trace: None,
             trace_now: SimTime::ZERO,
         }
     }
@@ -112,7 +124,14 @@ impl<S: SampleSpace> BoOptimizer<S> {
     /// triggered the suggestion). Tracing never touches the RNG stream:
     /// suggestions are bit-identical with tracing on or off.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.trace_track = Some(tracer.register_track("bo", "bo suggest"));
+        self.trace = tracer.is_enabled().then(|| BoTraceIds {
+            track: tracer.register_track("bo", "bo suggest"),
+            fit: tracer.intern("fit"),
+            score: tracer.intern("score"),
+            random_design: tracer.intern("random design"),
+            fit_fallback: tracer.intern("fit fallback"),
+            chosen: tracer.intern("chosen"),
+        });
         self.tracer = tracer;
     }
 
@@ -162,7 +181,7 @@ impl<S: SampleSpace> BoOptimizer<S> {
     pub fn suggest(&mut self, rng: &mut dyn RngCore) -> Vec<f64> {
         if self.observations.len() < self.config.n_initial {
             let z = self.space.sample(rng);
-            self.trace_instant("random design", &z, f64::NAN);
+            self.trace_instant(|t| t.random_design, &z, f64::NAN);
             return z;
         }
         // Refit the persistent surrogate: a no-op if nothing was observed
@@ -170,7 +189,7 @@ impl<S: SampleSpace> BoOptimizer<S> {
         // observation otherwise.
         let fit_ok = self.surrogate.fit().is_ok();
         self.trace_span(
-            "fit",
+            |t| t.fit,
             &[
                 ("observations", ArgValue::from(self.observations.len())),
                 ("ok", ArgValue::from(u64::from(fit_ok))),
@@ -178,7 +197,7 @@ impl<S: SampleSpace> BoOptimizer<S> {
         );
         if !fit_ok {
             let z = self.space.sample(rng);
-            self.trace_instant("fit fallback", &z, f64::NAN);
+            self.trace_instant(|t| t.fit_fallback, &z, f64::NAN);
             return z;
         }
         let f_best = self.surrogate.best_observed().expect("non-empty history");
@@ -209,55 +228,51 @@ impl<S: SampleSpace> BoOptimizer<S> {
                 .map(|&(mu, var)| acquisition.score(mu, var, f_best)),
         );
         self.trace_span(
-            "score",
+            |t| t.score,
             &[
                 ("candidates", ArgValue::from(total)),
                 ("best_acq", ArgValue::from(best_score)),
             ],
         );
         let chosen = self.candidates[best_idx * dim..(best_idx + 1) * dim].to_vec();
-        self.trace_instant("chosen", &chosen, best_score);
+        self.trace_instant(|t| t.chosen, &chosen, best_score);
         chosen
     }
 
     /// Emits a zero-duration span on the `bo suggest` track (no-op when the
     /// tracer is disabled).
-    fn trace_span(&self, name: &str, args: &[(&'static str, ArgValue)]) {
-        if let Some(track) = self.trace_track {
-            if self.tracer.is_enabled() {
-                self.tracer.complete(
-                    self.trace_now,
-                    simcore::SimDuration::from_nanos(0),
-                    track,
-                    "bo",
-                    name,
-                    args,
-                );
-            }
+    fn trace_span(&self, name: fn(&BoTraceIds) -> NameId, args: &[(&'static str, ArgValue)]) {
+        if let Some(t) = &self.trace {
+            self.tracer.complete(
+                self.trace_now,
+                simcore::SimDuration::from_nanos(0),
+                t.track,
+                "bo",
+                name(t),
+                args,
+            );
         }
     }
 
     /// Emits an instant on the `bo suggest` track carrying the proposed
     /// point (no-op when the tracer is disabled).
-    fn trace_instant(&self, name: &str, z: &[f64], acq: f64) {
-        if let Some(track) = self.trace_track {
-            if self.tracer.is_enabled() {
-                let point = z
-                    .iter()
-                    .map(|v| format!("{v:.4}"))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                self.tracer.instant(
-                    self.trace_now,
-                    track,
-                    "bo",
-                    name,
-                    &[
-                        ("point", ArgValue::from(point)),
-                        ("acq", ArgValue::from(acq)),
-                    ],
-                );
-            }
+    fn trace_instant(&self, name: fn(&BoTraceIds) -> NameId, z: &[f64], acq: f64) {
+        if let Some(t) = &self.trace {
+            let point = z
+                .iter()
+                .map(|v| format!("{v:.4}"))
+                .collect::<Vec<_>>()
+                .join(",");
+            self.tracer.instant(
+                self.trace_now,
+                t.track,
+                "bo",
+                name(t),
+                &[
+                    ("point", ArgValue::from(point)),
+                    ("acq", ArgValue::from(acq)),
+                ],
+            );
         }
     }
 
@@ -499,11 +514,11 @@ mod tests {
         assert!(buffer
             .records
             .iter()
-            .any(|r| r.cat == "bo" && r.name == "fit"));
+            .any(|r| r.cat == "bo" && buffer.name(r) == "fit"));
         assert!(buffer
             .records
             .iter()
-            .any(|r| r.cat == "bo" && r.name == "chosen"));
+            .any(|r| r.cat == "bo" && buffer.name(r) == "chosen"));
     }
 
     #[test]

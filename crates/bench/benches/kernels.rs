@@ -228,9 +228,9 @@ fn bench_substrates(h: &mut Harness) {
     //   `socsim_sc1cf1_1s` above. Their delta is the noise floor; any
     //   eager work sneaking in ahead of an `is_enabled` check shows up
     //   here (EXPERIMENTS.md requires ≤ 2%).
-    // * `null` — a sink is installed, so every instrumentation site fires
-    //   and builds its record, but `NullSink` discards it: the record-
-    //   construction cost alone.
+    // * `null` — a sink is installed, so every instrumentation site fires,
+    //   builds its borrowed arguments and makes one dynamic sink call per
+    //   record, which `NullSink` ignores: the instrumentation cost alone.
     // * `chrome` — full in-memory buffering of every span/counter.
     // * `agg` — the streaming [`simcore::metrics::AggregatingSink`]:
     //   every event folds into bounded per-series statistics instead of

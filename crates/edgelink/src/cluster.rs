@@ -37,7 +37,7 @@
 
 use simcore::rng::mix;
 use simcore::stats::{LogHistogram, Running};
-use simcore::trace::{Tracer, TrackId};
+use simcore::trace::{NameId, Tracer, TrackId};
 use simcore::{Scheduler, SimDuration, SimTime, Simulator};
 
 use crate::link::{plan_transfer, Direction, LinkParams};
@@ -387,13 +387,58 @@ struct ClusterState {
     departed: usize,
     metrics: ClusterMetrics,
     tracer: Tracer,
+    trace: ClusterTraceIds,
+}
+
+/// Track and name ids of a traced cluster, registered once at
+/// construction. Empty while tracing is disabled: every reader sits
+/// behind [`Tracer::is_enabled`].
+#[derive(Debug, Default)]
+struct ClusterTraceIds {
     /// Per-server track for admission-queue counters.
-    trace_servers: Vec<TrackId>,
+    servers: Vec<TrackId>,
     /// Per-cell track for utilization and active-flow counters (shared
     /// mode only).
-    trace_cells: Vec<TrackId>,
+    cells: Vec<TrackId>,
     /// Track carrying the cluster's memory-accounting counters.
-    trace_mem: TrackId,
+    mem: TrackId,
+    /// Per-server `"queued"` and `"in service"` counters.
+    server_names: [NameId; 2],
+    /// Per direction (up, down): the cell's `"mbps"` and `"flows"`
+    /// counters.
+    cell_names: [[NameId; 2]; 2],
+    /// `"mem session bytes"`, `"mem peak queue bytes"`, `"mem medium
+    /// bytes"` and `"medium reallocs"`.
+    mem_names: [NameId; 4],
+}
+
+impl ClusterTraceIds {
+    /// Registers one track per server (`server<i>`), one per cell
+    /// (`cell<i>`) and the memory track, and interns the counter names.
+    /// Only called when tracing is enabled.
+    fn register(tracer: &Tracer, servers: usize, cells: usize) -> Self {
+        ClusterTraceIds {
+            servers: (0..servers)
+                .map(|i| tracer.register_track("edgelink", &format!("server{i}")))
+                .collect(),
+            cells: (0..cells)
+                .map(|i| tracer.register_track("edgelink", &format!("cell{i}")))
+                .collect(),
+            mem: tracer.register_track("edgelink", "mem"),
+            server_names: [tracer.intern("queued"), tracer.intern("in service")],
+            cell_names: [
+                [tracer.intern("up mbps"), tracer.intern("up flows")],
+                [tracer.intern("down mbps"), tracer.intern("down flows")],
+            ],
+            mem_names: [
+                "mem session bytes",
+                "mem peak queue bytes",
+                "mem medium bytes",
+                "medium reallocs",
+            ]
+            .map(|name| tracer.intern(name)),
+        }
+    }
 }
 
 /// Approximate bytes of one queued admission entry: the routed job key
@@ -477,18 +522,12 @@ impl ClusterSim {
                 }
             })
             .collect();
-        let trace_servers: Vec<TrackId> = (0..servers.len())
-            .map(|i| tracer.register_track("edgelink", &format!("server{i}")))
-            .collect();
-        let trace_cells: Vec<TrackId> = medium
-            .as_ref()
-            .map(|m| {
-                (0..m.cell_count())
-                    .map(|i| tracer.register_track("edgelink", &format!("cell{i}")))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let trace_mem = tracer.register_track("edgelink", "mem");
+        let trace = if tracer.is_enabled() {
+            let cells = medium.as_ref().map_or(0, |m| m.cell_count());
+            ClusterTraceIds::register(&tracer, servers.len(), cells)
+        } else {
+            ClusterTraceIds::default()
+        };
         for (session, st) in states.iter().enumerate() {
             let at = start
                 + SimDuration::from_secs_f64(st.spec.arrive_secs)
@@ -508,9 +547,7 @@ impl ClusterSim {
                 departed: 0,
                 metrics: ClusterMetrics::default(),
                 tracer,
-                trace_servers,
-                trace_cells,
-                trace_mem,
+                trace,
             },
         }
     }
@@ -537,36 +574,29 @@ impl ClusterSim {
             return;
         }
         let now = self.sim.now();
-        let track = state.trace_mem;
+        let track = state.trace.mem;
+        let [sessions, queue, medium, reallocs] = state.trace.mem_names;
         state.tracer.counter(
             now,
             track,
             "edgelink",
-            "mem session bytes",
+            sessions,
             (state.sessions.len() * std::mem::size_of::<SessState>()) as f64,
         );
         state.tracer.counter(
             now,
             track,
             "edgelink",
-            "mem peak queue bytes",
+            queue,
             (state.peak_queue * QUEUE_ENTRY_BYTES) as f64,
         );
         if let Some(m) = &state.medium {
-            state.tracer.counter(
-                now,
-                track,
-                "edgelink",
-                "mem medium bytes",
-                m.footprint_bytes() as f64,
-            );
-            state.tracer.counter(
-                now,
-                track,
-                "edgelink",
-                "medium reallocs",
-                m.reallocs() as f64,
-            );
+            state
+                .tracer
+                .counter(now, track, "edgelink", medium, m.footprint_bytes() as f64);
+            state
+                .tracer
+                .counter(now, track, "edgelink", reallocs, m.reallocs() as f64);
         }
     }
 
@@ -850,11 +880,11 @@ impl ClusterState {
             return;
         }
         let Some(m) = &self.medium else { return };
-        for (cell, &track) in self.trace_cells.iter().enumerate() {
-            for (dir, util_name, flows_name) in [
-                (Direction::Up, "up mbps", "up flows"),
-                (Direction::Down, "down mbps", "down flows"),
-            ] {
+        for (cell, &track) in self.trace.cells.iter().enumerate() {
+            for (dir, [util_name, flows_name]) in [Direction::Up, Direction::Down]
+                .into_iter()
+                .zip(self.trace.cell_names)
+            {
                 self.tracer.counter(
                     now,
                     track,
@@ -1034,12 +1064,13 @@ impl ClusterState {
         if !self.tracer.is_enabled() {
             return;
         }
-        let track = self.trace_servers[server];
+        let track = self.trace.servers[server];
+        let [queued, in_service] = self.trace.server_names;
         let s = &self.servers[server].server;
         self.tracer
-            .counter(now, track, "edgelink", "queued", s.queue_len() as f64);
+            .counter(now, track, "edgelink", queued, s.queue_len() as f64);
         self.tracer
-            .counter(now, track, "edgelink", "in service", s.in_service() as f64);
+            .counter(now, track, "edgelink", in_service, s.in_service() as f64);
     }
 
     /// A request exhausted its admission retries: shed it and move the

@@ -37,7 +37,7 @@ use simcore::SimTime;
 use crate::app::{task_period_ms, MarApp, TASK_GAP_MS, TASK_JITTER_MS};
 use crate::experiment::{
     point_from_stored, scenario_signature, seed_fits, trace_hbo_window, warm_variant, HboRunResult,
-    WarmRunResult, CONTROL_PERIOD_SECS,
+    HboTrack, WarmRunResult, CONTROL_PERIOD_SECS,
 };
 use crate::rows::{fmt_opt_ms, JsonRow};
 use crate::scenario::ScenarioSpec;
@@ -496,7 +496,7 @@ fn run_edge_hbo_inner(
     warm_seed: Option<&StoredConfig>,
 ) -> HboRunResult {
     let mut world = EdgeWorld::new_traced(spec, mix(seed, 0xED6E_0001), tracer.clone());
-    let hbo_track = tracer.register_track("hbo", "hbo control");
+    let hbo_track = HboTrack::register(&tracer);
     world.place_all_objects();
     world.run_for_secs(WARMUP_SECS);
     let mut hbo = HboController::new(spec.profiles(), config.clone());

@@ -7,7 +7,7 @@ use hbo_core::{
 };
 use nnmodel::Delegate;
 use simcore::rand::SeedableRng;
-use simcore::trace::{ArgValue, Tracer, TrackId};
+use simcore::trace::{ArgValue, NameId, Tracer, TrackId};
 use simcore::SimTime;
 
 use crate::app::{MarApp, Measurement};
@@ -72,12 +72,30 @@ pub fn run_hbo(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> HboRunResu
     run_hbo_traced(spec, config, seed, Tracer::disabled())
 }
 
+/// The `hbo control` track and its interned `"window"` span name.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HboTrack {
+    track: TrackId,
+    window: NameId,
+}
+
+impl HboTrack {
+    /// Registers the track and interns the span name (both 0 when the
+    /// tracer is disabled).
+    pub(crate) fn register(tracer: &Tracer) -> Self {
+        HboTrack {
+            track: tracer.register_track("hbo", "hbo control"),
+            window: tracer.intern("window"),
+        }
+    }
+}
+
 /// Emits the control-loop span of one completed HBO window: an `X` span
 /// covering the measurement period, carrying the iteration index, the
 /// applied configuration, and the measured `(Q, ε, φ)`.
 pub(crate) fn trace_hbo_window(
     tracer: &Tracer,
-    track: TrackId,
+    hbo: HboTrack,
     iter: usize,
     start: SimTime,
     end: SimTime,
@@ -90,9 +108,9 @@ pub(crate) fn trace_hbo_window(
     tracer.complete(
         start,
         end - start,
-        track,
+        hbo.track,
         "hbo",
-        "window",
+        hbo.window,
         &[
             ("iter", ArgValue::from(iter)),
             ("alloc", ArgValue::from(alloc)),
@@ -143,7 +161,7 @@ fn run_hbo_inner(
     warm_seed: Option<&StoredConfig>,
 ) -> HboRunResult {
     let mut app = MarApp::new_traced(spec, tracer.clone());
-    let hbo_track = tracer.register_track("hbo", "hbo control");
+    let hbo_track = HboTrack::register(&tracer);
     app.place_all_objects();
     app.run_for_secs(WARMUP_SECS);
     let mut hbo = HboController::new(spec.profiles(), config.clone());

@@ -665,7 +665,13 @@ mod tests {
         let seeds: Vec<u64> = (0..4).map(|i| job_seed(11, i)).collect();
         let job = |i: usize, tracer: Tracer| {
             let track = tracer.register_track("test", "job");
-            tracer.counter(simcore::SimTime::ZERO, track, "test", "i", i as f64);
+            tracer.counter(
+                simcore::SimTime::ZERO,
+                track,
+                "test",
+                tracer.intern("i"),
+                i as f64,
+            );
             i
         };
         let items: Vec<usize> = (0..4).collect();

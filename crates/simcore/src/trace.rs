@@ -2,12 +2,15 @@
 //!
 //! The design goals, in priority order:
 //!
-//! 1. **Zero overhead when disabled.** A [`Tracer`] is a cloneable handle
-//!    that is empty by default; every emit method starts with one
-//!    predictable `Option` branch and returns immediately. Names and
-//!    arguments that require allocation must be built by the caller
-//!    *behind* [`Tracer::is_enabled`], so the disabled hot path never
-//!    allocates.
+//! 1. **Zero overhead when disabled, no allocation when enabled.** A
+//!    [`Tracer`] is a cloneable handle that is empty by default; every
+//!    emit method starts with one predictable `Option` branch and returns
+//!    immediately. Layers intern their event names once
+//!    ([`Tracer::intern`], next to [`Tracer::register_track`]) and emit
+//!    [`NameId`]s with borrowed arguments through typed sink calls, so a
+//!    sink that keeps nothing per event allocates nothing per event.
+//!    Names and arguments that require allocation must be built by the
+//!    caller *behind* [`Tracer::is_enabled`].
 //! 2. **Full determinism.** Records carry simulated time only
 //!    ([`SimTime`] nanoseconds) — never wall-clock time — and are kept in
 //!    emit order. Track ids are assigned in registration order. The
@@ -26,7 +29,7 @@
 //! tests and CI can check exported traces without external tools.
 
 use std::cell::RefCell;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 use crate::{SimDuration, SimTime};
@@ -37,6 +40,15 @@ use crate::{SimDuration, SimTime};
 /// deterministic as long as tracks are registered in a deterministic
 /// order (simulation construction order in this workspace).
 pub type TrackId = u32;
+
+/// Identifies one interned event name (a span name or a counter series)
+/// inside a sink.
+///
+/// Ids are dense and first-seen, deduplicated exactly like [`TrackId`]s,
+/// so the children of a [`TeeSink`] agree on them. Instrumented layers
+/// intern their names once, next to their track registrations, and emit
+/// ids on the hot path.
+pub type NameId = u32;
 
 /// One structured argument value attached to a trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,6 +101,9 @@ impl From<String> for ArgValue {
     }
 }
 
+/// Structured arguments of one event, serialized in the given order.
+pub type Args<'a> = &'a [(&'static str, ArgValue)];
+
 /// The Chrome trace-event phase of a [`TraceRecord`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TracePhase {
@@ -105,8 +120,11 @@ pub enum TracePhase {
     Instant,
 }
 
-/// One trace event, carrying simulated time only.
-#[derive(Debug, Clone)]
+/// One buffered trace event, carrying simulated time only. Plain `Copy`
+/// data: the name is an interned [`NameId`] and the arguments are a
+/// range of [`TraceBuffer::args`]; resolve both through the owning
+/// buffer ([`TraceBuffer::name`], [`TraceBuffer::args_of`]).
+#[derive(Debug, Clone, Copy)]
 pub struct TraceRecord {
     /// Simulated timestamp in nanoseconds.
     pub at_ns: u64,
@@ -120,10 +138,11 @@ pub struct TraceRecord {
     /// Category (one per instrumented layer: `"soc"`, `"edgelink"`,
     /// `"hbo"`, `"bo"`).
     pub cat: &'static str,
-    /// Event name (span name or counter series name).
-    pub name: String,
-    /// Structured arguments, serialized in the given order.
-    pub args: Vec<(&'static str, ArgValue)>,
+    /// Event name (span name or counter series name); meaningless for
+    /// [`TracePhase::End`].
+    pub name: NameId,
+    args_start: u32,
+    args_len: u32,
 }
 
 /// A named track definition: `process` groups related tracks (e.g.
@@ -142,26 +161,104 @@ pub struct TrackDef {
 pub struct TraceBuffer {
     /// Registered tracks, in registration order (index == [`TrackId`]).
     pub tracks: Vec<TrackDef>,
+    /// Interned event names, in first-seen order (index == [`NameId`]).
+    pub names: Vec<String>,
     /// Emitted records, in emit order.
     pub records: Vec<TraceRecord>,
+    /// Every record's arguments, back to back in emit order.
+    pub args: Vec<(&'static str, ArgValue)>,
 }
 
-/// Destination for trace events.
+impl TraceBuffer {
+    /// The record's event name (empty for [`TracePhase::End`]).
+    pub fn name(&self, rec: &TraceRecord) -> &str {
+        match rec.phase {
+            TracePhase::End => "",
+            _ => &self.names[rec.name as usize],
+        }
+    }
+
+    /// The record's arguments, in emit order.
+    pub fn args_of(&self, rec: &TraceRecord) -> Args<'_> {
+        let start = rec.args_start as usize;
+        &self.args[start..start + rec.args_len as usize]
+    }
+}
+
+/// Returns the id of `(process, track)` in `tracks`, appending it when
+/// new. The one dedupe rule every registering sink shares: re-registering
+/// an identical pair returns the existing id, so layers rebuilt mid-run
+/// (e.g. one edge sim per measurement window) keep appending to the same
+/// named track. A linear scan keeps the lookup order-deterministic (no
+/// `HashMap`); it runs at construction, never per event.
+pub(crate) fn register_in(tracks: &mut Vec<TrackDef>, process: &str, track: &str) -> TrackId {
+    if let Some(i) = tracks
+        .iter()
+        .position(|t| t.process == process && t.track == track)
+    {
+        return i as TrackId;
+    }
+    tracks.push(TrackDef {
+        process: process.to_string(),
+        track: track.to_string(),
+    });
+    (tracks.len() - 1) as TrackId
+}
+
+/// Returns the id of `name` in `names`, appending it when new (the same
+/// first-seen rule as [`register_in`]).
+pub(crate) fn intern_in(names: &mut Vec<String>, name: &str) -> NameId {
+    if let Some(i) = names.iter().position(|n| n == name) {
+        return i as NameId;
+    }
+    names.push(name.to_string());
+    (names.len() - 1) as NameId
+}
+
+/// Destination for trace events: one typed call per record kind, with
+/// borrowed arguments, so a sink that keeps nothing (or only aggregates)
+/// never allocates per event.
 ///
 /// Object-safe so a [`Tracer`] can hold any sink behind one pointer.
+/// Timestamps arrive in simulated nanoseconds, already shifted by the
+/// tracer's offset.
 pub trait TraceSink: fmt::Debug {
     /// Registers a named track and returns its id. Called in
     /// deterministic construction order by the instrumented layers.
     fn register_track(&mut self, process: &str, track: &str) -> TrackId;
 
-    /// Receives one event.
-    fn event(&mut self, record: TraceRecord);
+    /// Interns an event name and returns its id (dense, first-seen,
+    /// deduplicated like [`TraceSink::register_track`]).
+    fn intern(&mut self, name: &str) -> NameId;
+
+    /// A span begin.
+    fn begin(&mut self, at_ns: u64, track: TrackId, cat: &'static str, name: NameId, args: Args);
+
+    /// A span end, balancing the latest begin on `track`.
+    fn end(&mut self, at_ns: u64, track: TrackId, cat: &'static str);
+
+    /// A complete span with an explicit duration.
+    fn complete(
+        &mut self,
+        at_ns: u64,
+        dur_ns: u64,
+        track: TrackId,
+        cat: &'static str,
+        name: NameId,
+        args: Args,
+    );
+
+    /// A counter sample of series `name`.
+    fn counter(&mut self, at_ns: u64, track: TrackId, cat: &'static str, name: NameId, value: f64);
+
+    /// An instant event.
+    fn instant(&mut self, at_ns: u64, track: TrackId, cat: &'static str, name: NameId, args: Args);
 }
 
 /// A sink that drops everything. Installing it exercises the full
-/// instrumented path (enabled-branch taken, names built, records
-/// constructed) without buffering — the kernels bench uses it to pin
-/// the cost of instrumentation itself.
+/// instrumented path (enabled-branch taken, arguments built, one dynamic
+/// sink call per record) without keeping anything — the kernels bench
+/// uses it to pin the cost of instrumentation itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
@@ -170,7 +267,19 @@ impl TraceSink for NullSink {
         0
     }
 
-    fn event(&mut self, _record: TraceRecord) {}
+    fn intern(&mut self, _name: &str) -> NameId {
+        0
+    }
+
+    fn begin(&mut self, _: u64, _: TrackId, _: &'static str, _: NameId, _: Args) {}
+
+    fn end(&mut self, _: u64, _: TrackId, _: &'static str) {}
+
+    fn complete(&mut self, _: u64, _: u64, _: TrackId, _: &'static str, _: NameId, _: Args) {}
+
+    fn counter(&mut self, _: u64, _: TrackId, _: &'static str, _: NameId, _: f64) {}
+
+    fn instant(&mut self, _: u64, _: TrackId, _: &'static str, _: NameId, _: Args) {}
 }
 
 /// A sink that buffers every event for later Chrome trace-event JSON
@@ -200,47 +309,86 @@ impl ChromeTraceSink {
     pub fn is_empty(&self) -> bool {
         self.buffer.records.is_empty()
     }
+
+    #[allow(clippy::too_many_arguments)]
+    fn push(
+        &mut self,
+        at_ns: u64,
+        dur_ns: u64,
+        track: TrackId,
+        phase: TracePhase,
+        cat: &'static str,
+        name: NameId,
+        args: Args,
+    ) {
+        let args_start =
+            u32::try_from(self.buffer.args.len()).expect("trace argument table exceeds u32 range");
+        self.buffer.args.extend_from_slice(args);
+        self.buffer.records.push(TraceRecord {
+            at_ns,
+            dur_ns,
+            track,
+            phase,
+            cat,
+            name,
+            args_start,
+            args_len: args.len() as u32,
+        });
+    }
 }
 
 impl TraceSink for ChromeTraceSink {
     fn register_track(&mut self, process: &str, track: &str) -> TrackId {
-        // Re-registering an identical (process, track) pair returns the
-        // existing id, so layers rebuilt mid-run (e.g. one edge sim per
-        // measurement window) keep appending to the same named track. A
-        // linear scan keeps the lookup order-deterministic (no HashMap).
-        if let Some(i) = self
-            .buffer
-            .tracks
-            .iter()
-            .position(|t| t.process == process && t.track == track)
-        {
-            return i as TrackId;
-        }
-        let id = self.buffer.tracks.len() as TrackId;
-        self.buffer.tracks.push(TrackDef {
-            process: process.to_string(),
-            track: track.to_string(),
-        });
-        id
+        register_in(&mut self.buffer.tracks, process, track)
     }
 
-    fn event(&mut self, record: TraceRecord) {
-        self.buffer.records.push(record);
+    fn intern(&mut self, name: &str) -> NameId {
+        intern_in(&mut self.buffer.names, name)
+    }
+
+    fn begin(&mut self, at_ns: u64, track: TrackId, cat: &'static str, name: NameId, args: Args) {
+        self.push(at_ns, 0, track, TracePhase::Begin, cat, name, args);
+    }
+
+    fn end(&mut self, at_ns: u64, track: TrackId, cat: &'static str) {
+        self.push(at_ns, 0, track, TracePhase::End, cat, 0, &[]);
+    }
+
+    fn complete(
+        &mut self,
+        at_ns: u64,
+        dur_ns: u64,
+        track: TrackId,
+        cat: &'static str,
+        name: NameId,
+        args: Args,
+    ) {
+        self.push(at_ns, dur_ns, track, TracePhase::Complete, cat, name, args);
+    }
+
+    fn counter(&mut self, at_ns: u64, track: TrackId, cat: &'static str, name: NameId, value: f64) {
+        let args = [("value", ArgValue::F64(value))];
+        self.push(at_ns, 0, track, TracePhase::Counter, cat, name, &args);
+    }
+
+    fn instant(&mut self, at_ns: u64, track: TrackId, cat: &'static str, name: NameId, args: Args) {
+        self.push(at_ns, 0, track, TracePhase::Instant, cat, name, args);
     }
 }
 
 /// A sink that feeds every registration and event to two child sinks —
 /// the glue that lets one job keep full Chrome-trace detail *and* feed
-/// a bounded aggregator from a single instrumented pass.
+/// a bounded aggregator from a single instrumented pass. Events are
+/// borrowed by both children; nothing is cloned on the way.
 ///
-/// Both children must use dense first-seen registration ids (as
-/// [`ChromeTraceSink`] and `metrics::AggregatingSink` do) so the id
+/// Both children must use dense first-seen registration and intern ids
+/// (as [`ChromeTraceSink`] and `metrics::AggregatingSink` do) so the id
 /// returned by the first child is valid for the second; that invariant
 /// is checked in debug builds. [`NullSink`] always answers 0 and is
 /// therefore not a valid tee child.
 #[derive(Debug, Clone, Default)]
 pub struct TeeSink<A: TraceSink, B: TraceSink> {
-    /// First child; its track ids become the tee's ids.
+    /// First child; its ids become the tee's ids.
     pub first: A,
     /// Second child.
     pub second: B,
@@ -257,9 +405,44 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
         id
     }
 
-    fn event(&mut self, record: TraceRecord) {
-        self.second.event(record.clone());
-        self.first.event(record);
+    fn intern(&mut self, name: &str) -> NameId {
+        let id = self.first.intern(name);
+        let second = self.second.intern(name);
+        debug_assert_eq!(id, second, "tee children disagree on name id for {name}");
+        id
+    }
+
+    fn begin(&mut self, at_ns: u64, track: TrackId, cat: &'static str, name: NameId, args: Args) {
+        self.second.begin(at_ns, track, cat, name, args);
+        self.first.begin(at_ns, track, cat, name, args);
+    }
+
+    fn end(&mut self, at_ns: u64, track: TrackId, cat: &'static str) {
+        self.second.end(at_ns, track, cat);
+        self.first.end(at_ns, track, cat);
+    }
+
+    fn complete(
+        &mut self,
+        at_ns: u64,
+        dur_ns: u64,
+        track: TrackId,
+        cat: &'static str,
+        name: NameId,
+        args: Args,
+    ) {
+        self.second.complete(at_ns, dur_ns, track, cat, name, args);
+        self.first.complete(at_ns, dur_ns, track, cat, name, args);
+    }
+
+    fn counter(&mut self, at_ns: u64, track: TrackId, cat: &'static str, name: NameId, value: f64) {
+        self.second.counter(at_ns, track, cat, name, value);
+        self.first.counter(at_ns, track, cat, name, value);
+    }
+
+    fn instant(&mut self, at_ns: u64, track: TrackId, cat: &'static str, name: NameId, args: Args) {
+        self.second.instant(at_ns, track, cat, name, args);
+        self.first.instant(at_ns, track, cat, name, args);
     }
 }
 
@@ -320,7 +503,7 @@ impl Tracer {
     }
 
     /// True when a sink is attached. Callers must guard any
-    /// allocation-requiring argument construction behind this.
+    /// allocation-requiring name or argument construction behind this.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.sink.is_some()
@@ -334,26 +517,22 @@ impl Tracer {
         }
     }
 
+    /// Interns an event name for the emit methods; returns 0 when
+    /// disabled. Call once per name at construction, next to
+    /// [`Tracer::register_track`], never per event.
+    pub fn intern(&self, name: &str) -> NameId {
+        match &self.sink {
+            Some(s) => s.borrow_mut().intern(name),
+            None => 0,
+        }
+    }
+
     /// Emits a span begin.
     #[inline]
-    pub fn begin(
-        &self,
-        at: SimTime,
-        track: TrackId,
-        cat: &'static str,
-        name: &str,
-        args: &[(&'static str, ArgValue)],
-    ) {
+    pub fn begin(&self, at: SimTime, track: TrackId, cat: &'static str, name: NameId, args: Args) {
         let Some(sink) = &self.sink else { return };
-        sink.borrow_mut().event(TraceRecord {
-            at_ns: self.offset_ns + at.as_nanos(),
-            dur_ns: 0,
-            track,
-            phase: TracePhase::Begin,
-            cat,
-            name: name.to_string(),
-            args: args.to_vec(),
-        });
+        sink.borrow_mut()
+            .begin(self.offset_ns + at.as_nanos(), track, cat, name, args);
     }
 
     /// Emits a span end (balances the latest [`Tracer::begin`] on the
@@ -361,15 +540,8 @@ impl Tracer {
     #[inline]
     pub fn end(&self, at: SimTime, track: TrackId, cat: &'static str) {
         let Some(sink) = &self.sink else { return };
-        sink.borrow_mut().event(TraceRecord {
-            at_ns: self.offset_ns + at.as_nanos(),
-            dur_ns: 0,
-            track,
-            phase: TracePhase::End,
-            cat,
-            name: String::new(),
-            args: Vec::new(),
-        });
+        sink.borrow_mut()
+            .end(self.offset_ns + at.as_nanos(), track, cat);
     }
 
     /// Emits a complete span with an explicit duration.
@@ -380,35 +552,34 @@ impl Tracer {
         dur: SimDuration,
         track: TrackId,
         cat: &'static str,
-        name: &str,
-        args: &[(&'static str, ArgValue)],
+        name: NameId,
+        args: Args,
     ) {
         let Some(sink) = &self.sink else { return };
-        sink.borrow_mut().event(TraceRecord {
-            at_ns: self.offset_ns + at.as_nanos(),
-            dur_ns: dur.as_nanos(),
+        sink.borrow_mut().complete(
+            self.offset_ns + at.as_nanos(),
+            dur.as_nanos(),
             track,
-            phase: TracePhase::Complete,
             cat,
-            name: name.to_string(),
-            args: args.to_vec(),
-        });
+            name,
+            args,
+        );
     }
 
     /// Emits a counter sample. `name` is the counter series; distinct
     /// series need distinct names within one process.
     #[inline]
-    pub fn counter(&self, at: SimTime, track: TrackId, cat: &'static str, name: &str, value: f64) {
+    pub fn counter(
+        &self,
+        at: SimTime,
+        track: TrackId,
+        cat: &'static str,
+        name: NameId,
+        value: f64,
+    ) {
         let Some(sink) = &self.sink else { return };
-        sink.borrow_mut().event(TraceRecord {
-            at_ns: self.offset_ns + at.as_nanos(),
-            dur_ns: 0,
-            track,
-            phase: TracePhase::Counter,
-            cat,
-            name: name.to_string(),
-            args: vec![("value", ArgValue::F64(value))],
-        });
+        sink.borrow_mut()
+            .counter(self.offset_ns + at.as_nanos(), track, cat, name, value);
     }
 
     /// Emits an instant event.
@@ -418,19 +589,12 @@ impl Tracer {
         at: SimTime,
         track: TrackId,
         cat: &'static str,
-        name: &str,
-        args: &[(&'static str, ArgValue)],
+        name: NameId,
+        args: Args,
     ) {
         let Some(sink) = &self.sink else { return };
-        sink.borrow_mut().event(TraceRecord {
-            at_ns: self.offset_ns + at.as_nanos(),
-            dur_ns: 0,
-            track,
-            phase: TracePhase::Instant,
-            cat,
-            name: name.to_string(),
-            args: args.to_vec(),
-        });
+        sink.borrow_mut()
+            .instant(self.offset_ns + at.as_nanos(), track, cat, name, args);
     }
 }
 
@@ -454,32 +618,36 @@ fn push_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
 }
 
+// `write!` into a `String` cannot fail, so its `fmt::Result` is dropped
+// throughout the serializer.
+
 /// Formats integer nanoseconds as a microsecond JSON number with
 /// exactly three decimals (`1234` → `1.234`). String formatting keeps
 /// the output byte-deterministic; the value is still a valid JSON
 /// number.
 fn push_ts(out: &mut String, ns: u64) {
-    out.push_str(&format!("{}.{:03}", ns / 1_000, ns % 1_000));
+    let _ = write!(out, "{}.{:03}", ns / 1_000, ns % 1_000);
 }
 
 fn push_arg_value(out: &mut String, value: &ArgValue) {
     match value {
-        ArgValue::U64(v) => out.push_str(&format!("{v}")),
-        ArgValue::I64(v) => out.push_str(&format!("{v}")),
-        ArgValue::F64(v) => {
-            if v.is_finite() {
-                out.push_str(&format!("{v}"));
-            } else {
-                out.push_str("null");
-            }
+        ArgValue::U64(v) => {
+            let _ = write!(out, "{v}");
         }
+        ArgValue::I64(v) => {
+            let _ = write!(out, "{v}");
+        }
+        ArgValue::F64(v) if v.is_finite() => {
+            let _ = write!(out, "{v}");
+        }
+        ArgValue::F64(_) => out.push_str("null"),
         ArgValue::Str(s) => {
             out.push('"');
             push_escaped(out, s);
@@ -488,7 +656,7 @@ fn push_arg_value(out: &mut String, value: &ArgValue) {
     }
 }
 
-fn push_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
+fn push_args(out: &mut String, args: Args) {
     out.push_str("\"args\":{");
     for (i, (key, value)) in args.iter().enumerate() {
         if i > 0 {
@@ -522,17 +690,19 @@ pub fn chrome_trace_json(jobs: &[TraceJob]) -> String {
     for (job_index, job) in jobs.iter().enumerate() {
         let pid = job_index + 1;
         sep(&mut out);
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\""
-        ));
+        );
         push_escaped(&mut out, &job.name);
         out.push_str("\"}}");
         for (track_id, track) in job.buffer.tracks.iter().enumerate() {
             let tid = track_id + 1;
             sep(&mut out);
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\""
-            ));
+            );
             push_escaped(&mut out, &track.process);
             out.push(':');
             push_escaped(&mut out, &track.track);
@@ -548,9 +718,7 @@ pub fn chrome_trace_json(jobs: &[TraceJob]) -> String {
                 TracePhase::Counter => "C",
                 TracePhase::Instant => "i",
             };
-            out.push_str(&format!(
-                "{{\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":"
-            ));
+            let _ = write!(out, "{{\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":");
             push_ts(&mut out, rec.at_ns);
             if rec.phase == TracePhase::Complete {
                 out.push_str(",\"dur\":");
@@ -558,17 +726,17 @@ pub fn chrome_trace_json(jobs: &[TraceJob]) -> String {
             }
             out.push_str(",\"cat\":\"");
             push_escaped(&mut out, rec.cat);
-            out.push_str("\"");
+            out.push('"');
             if rec.phase != TracePhase::End {
                 out.push_str(",\"name\":\"");
-                push_escaped(&mut out, &rec.name);
+                push_escaped(&mut out, job.buffer.name(rec));
                 out.push('"');
             }
             if rec.phase == TracePhase::Instant {
                 out.push_str(",\"s\":\"t\"");
             }
             out.push(',');
-            push_args(&mut out, &rec.args);
+            push_args(&mut out, job.buffer.args_of(rec));
             out.push('}');
         }
     }
@@ -941,9 +1109,10 @@ mod tests {
         let tracer = Tracer::disabled();
         assert!(!tracer.is_enabled());
         assert_eq!(tracer.register_track("p", "t"), 0);
-        tracer.begin(t(1.0), 0, "soc", "job", &[]);
+        assert_eq!(tracer.intern("job"), 0);
+        tracer.begin(t(1.0), 0, "soc", 0, &[]);
         tracer.end(t(2.0), 0, "soc");
-        tracer.counter(t(2.0), 0, "soc", "queue", 3.0);
+        tracer.counter(t(2.0), 0, "soc", 0, 3.0);
     }
 
     #[test]
@@ -953,15 +1122,27 @@ mod tests {
         let a = tracer.register_track("soc", "CPU slot0");
         let b = tracer.register_track("soc", "GPU");
         assert_eq!((a, b), (0, 1));
-        tracer.begin(t(1.0), a, "soc", "detector", &[("seq", 7u64.into())]);
+        let detector = tracer.intern("detector");
+        let resident = tracer.intern("GPU resident");
+        assert_eq!((detector, resident, tracer.intern("detector")), (0, 1, 0));
+        tracer.begin(t(1.0), a, "soc", detector, &[("seq", 7u64.into())]);
         tracer.end(t(3.5), a, "soc");
-        tracer.counter(t(3.5), b, "soc", "GPU resident", 2.0);
+        tracer.counter(t(3.5), b, "soc", resident, 2.0);
         let buf = sink.borrow().snapshot();
         assert_eq!(buf.tracks.len(), 2);
         assert_eq!(buf.records.len(), 3);
         assert_eq!(buf.records[0].phase, TracePhase::Begin);
         assert_eq!(buf.records[0].at_ns, 1_000_000);
+        assert_eq!(buf.name(&buf.records[0]), "detector");
+        assert_eq!(buf.args_of(&buf.records[0]), &[("seq", ArgValue::U64(7))]);
+        assert_eq!(buf.name(&buf.records[1]), "");
+        assert!(buf.args_of(&buf.records[1]).is_empty());
         assert_eq!(buf.records[2].phase, TracePhase::Counter);
+        assert_eq!(buf.name(&buf.records[2]), "GPU resident");
+        assert_eq!(
+            buf.args_of(&buf.records[2]),
+            &[("value", ArgValue::F64(2.0))]
+        );
     }
 
     #[test]
@@ -969,18 +1150,19 @@ mod tests {
         let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
         let tracer = Tracer::with_sink(sink.clone());
         let cpu = tracer.register_track("soc", "CPU slot0");
-        tracer.begin(t(0.25), cpu, "soc", "job \"x\"", &[("seq", 1u64.into())]);
+        let job = tracer.intern("job \"x\"");
+        tracer.begin(t(0.25), cpu, "soc", job, &[("seq", 1u64.into())]);
         tracer.end(t(1.75), cpu, "soc");
         tracer.complete(
             t(2.0),
             SimDuration::from_millis_f64(0.5),
             cpu,
             "hbo",
-            "window",
+            tracer.intern("window"),
             &[("epsilon", 0.125f64.into()), ("alloc", "CGN".into())],
         );
-        tracer.counter(t(2.5), cpu, "soc", "queue", 4.0);
-        tracer.instant(t(2.5), cpu, "bo", "suggest", &[]);
+        tracer.counter(t(2.5), cpu, "soc", tracer.intern("queue"), 4.0);
+        tracer.instant(t(2.5), cpu, "bo", tracer.intern("suggest"), &[]);
         let job = TraceJob {
             name: "job0".to_string(),
             buffer: sink.borrow().snapshot(),
@@ -988,6 +1170,21 @@ mod tests {
         let one = chrome_trace_json(&[job.clone()]);
         let two = chrome_trace_json(&[job.clone()]);
         assert_eq!(one, two, "serialization must be deterministic");
+        assert_eq!(
+            one,
+            concat!(
+                "{\"traceEvents\":[\n",
+                "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"job0\"}},\n",
+                "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"soc:CPU slot0\"}},\n",
+                "{\"ph\":\"B\",\"pid\":1,\"tid\":1,\"ts\":250.000,\"cat\":\"soc\",\"name\":\"job \\\"x\\\"\",\"args\":{\"seq\":1}},\n",
+                "{\"ph\":\"E\",\"pid\":1,\"tid\":1,\"ts\":1750.000,\"cat\":\"soc\",\"args\":{}},\n",
+                "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":2000.000,\"dur\":500.000,\"cat\":\"hbo\",\"name\":\"window\",\"args\":{\"epsilon\":0.125,\"alloc\":\"CGN\"}},\n",
+                "{\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":2500.000,\"cat\":\"soc\",\"name\":\"queue\",\"args\":{\"value\":4}},\n",
+                "{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"ts\":2500.000,\"cat\":\"bo\",\"name\":\"suggest\",\"s\":\"t\",\"args\":{}}\n",
+                "]}\n",
+            ),
+            "exact Chrome trace-event bytes"
+        );
         let stats = chrome_trace_stats(&one).expect("valid chrome trace");
         assert_eq!(stats.spans, 3);
         assert_eq!(stats.counters, 1);
@@ -1041,12 +1238,15 @@ mod tests {
         let tracer = Tracer::with_sink(sink.clone());
         let a = tracer.register_track("soc", "CPU");
         assert_eq!(tracer.register_track("soc", "CPU"), a);
-        tracer.begin(t(1.0), a, "soc", "job", &[]);
+        let job = tracer.intern("job");
+        assert_eq!(tracer.intern("job"), job);
+        tracer.begin(t(1.0), a, "soc", job, &[]);
         tracer.end(t(2.0), a, "soc");
         let tee = sink.borrow();
         let (one, two) = (tee.first.snapshot(), tee.second.snapshot());
         assert_eq!(one.tracks.len(), 1);
         assert_eq!(two.tracks.len(), 1);
+        assert_eq!(one.names, two.names);
         assert_eq!(one.records.len(), 2);
         assert_eq!(two.records.len(), 2);
         assert_eq!(one.records[0].at_ns, two.records[0].at_ns);

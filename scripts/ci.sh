@@ -122,9 +122,10 @@ cmp "$trace_dir/parallel.json" "$trace_dir/serial.json"
 
 # Metrics smoke (ISSUE 10): the fleet sweep with the streaming
 # aggregator and head-sampled tracing on the real binary. The
-# Prometheus-style exposition must be byte-identical across --threads
-# 1/2/4, the emitted rows must stay byte-identical to an unobserved run,
-# and the sampled trace export must still validate.
+# Prometheus-style exposition must match the committed
+# results/fleet_smoke_metrics.txt byte for byte on --threads 1/2/4, the
+# emitted rows must stay byte-identical to an unobserved run, and the
+# sampled trace export must still validate.
 echo "==> metrics smoke: fleet_sweep --metrics across threads"
 cargo run --release --offline -q -p hbo-bench --bin fleet_sweep -- \
   --smoke --threads 1 --metrics "$trace_dir/metrics_t1.txt" \
@@ -134,8 +135,9 @@ cargo run --release --offline -q -p hbo-bench --bin fleet_sweep -- \
   --smoke --threads 2 --metrics "$trace_dir/metrics_t2.txt" >/dev/null 2>&1
 cargo run --release --offline -q -p hbo-bench --bin fleet_sweep -- \
   --smoke --threads 4 --metrics "$trace_dir/metrics_t4.txt" >/dev/null 2>&1
-cmp "$trace_dir/metrics_t1.txt" "$trace_dir/metrics_t2.txt"
-cmp "$trace_dir/metrics_t1.txt" "$trace_dir/metrics_t4.txt"
+for threads in 1 2 4; do
+  cmp results/fleet_smoke_metrics.txt "$trace_dir/metrics_t$threads.txt"
+done
 grep -q '# TYPE mar_counter_samples counter' "$trace_dir/metrics_t1.txt"
 grep -q 'name="mem session bytes"' "$trace_dir/metrics_t1.txt"
 cargo run --release --offline -q -p hbo-bench --bin fleet_sweep -- \
