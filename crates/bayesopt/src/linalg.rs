@@ -254,6 +254,8 @@ impl Cholesky {
         assert_eq!(row.len(), n + 1, "extend needs a row of dim() + 1 entries");
         let base = row_start(n);
         self.data.reserve(n + 1);
+        // Index loops keep the hot factor update in its bit-pinned order.
+        #[allow(clippy::needless_range_loop)]
         for j in 0..=n {
             let rj = row_start(j);
             let mut sum = row[j];
@@ -316,6 +318,8 @@ impl Cholesky {
         for i in 0..n {
             let ri = row_start(i);
             let mut sum = b[i];
+            // Index loops keep the hot solve in its bit-pinned order.
+            #[allow(clippy::needless_range_loop)]
             for k in 0..i {
                 sum -= self.data[ri + k] * y[k];
             }
@@ -578,7 +582,7 @@ mod tests {
 
     #[test]
     fn solve_into_reuses_buffers() {
-        let a = spd_from(&vec![1.0; 9], 3);
+        let a = spd_from(&[1.0; 9], 3);
         let chol = Cholesky::new(&a).unwrap();
         let mut y = vec![99.0; 7]; // wrong size on purpose
         chol.solve_lower_into(&[1.0, 2.0, 3.0], &mut y);

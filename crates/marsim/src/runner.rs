@@ -302,7 +302,7 @@ impl RunnerReport {
                 m.stats.max().expect("count > 0"),
             ));
         }
-        out.push_str("}");
+        out.push('}');
         if let Some(t) = &self.telemetry {
             out.push_str(",\"telemetry\":");
             out.push_str(&t.to_json());

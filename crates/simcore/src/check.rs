@@ -484,9 +484,11 @@ mod tests {
 
     #[test]
     fn passing_property_runs_all_cases() {
-        let mut config = Config::default();
-        config.cases = 300;
-        config.replay_seed = None;
+        let config = Config {
+            cases: 300,
+            replay_seed: None,
+            ..Config::default()
+        };
         let seen = std::cell::Cell::new(0u32);
         check_with(&config, "counts_cases", f64s(0.0..1.0), |x| {
             seen.set(seen.get() + 1);
@@ -507,8 +509,10 @@ mod tests {
     #[test]
     fn failure_panics_with_replay_seed_and_shrinks() {
         let result = std::panic::catch_unwind(|| {
-            let mut config = Config::default();
-            config.replay_seed = None;
+            let config = Config {
+                replay_seed: None,
+                ..Config::default()
+            };
             check_with(&config, "gt_ten_fails", u64s(0..1000), |&x| {
                 prop_assert!(x < 10, "{x} >= 10");
                 Ok(())
@@ -532,8 +536,10 @@ mod tests {
         // Property: "no vec of length >= 3 exists" — minimal
         // counterexample is any length-3 vec; shrinking must reach len 3.
         let result = std::panic::catch_unwind(|| {
-            let mut config = Config::default();
-            config.replay_seed = None;
+            let config = Config {
+                replay_seed: None,
+                ..Config::default()
+            };
             check_with(&config, "len3", vec(u64s(0..5), 0..32), |v| {
                 prop_assert!(v.len() < 3, "len {}", v.len());
                 Ok(())
@@ -565,8 +571,10 @@ mod tests {
 
     #[test]
     fn replay_seed_runs_exactly_one_case() {
-        let mut config = Config::default();
-        config.replay_seed = Some(1234);
+        let config = Config {
+            replay_seed: Some(1234),
+            ..Config::default()
+        };
         let seen = std::cell::Cell::new(0u32);
         check_with(&config, "replay", u64s(0..100), |_| {
             seen.set(seen.get() + 1);

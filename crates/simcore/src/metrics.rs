@@ -940,7 +940,7 @@ mod tests {
         // 10_000 × 937 ns ≈ 9.37 ms needs ~1172 initial buckets; with 8
         // buckets the width must have doubled to ≥ 2^8 × initial.
         assert!(ring.bucket_ns() >= 1_000 * 128, "width never doubled");
-        assert!(ring.bucket_ns().is_power_of_two() || ring.bucket_ns() % 1_000 == 0);
+        assert!(ring.bucket_ns().is_power_of_two() || ring.bucket_ns().is_multiple_of(1_000));
         // No samples were lost to the downsampling.
         let total: u64 = ring.buckets().iter().map(|b| b.count).sum();
         assert_eq!(total, 10_000);

@@ -683,7 +683,7 @@ mod tests {
         }
         assert_eq!(h.total(), 5);
         let p50 = h.quantile(0.5).unwrap();
-        assert!(p50 >= 4.0 && p50 <= 16.0, "p50 = {p50}");
+        assert!((4.0..=16.0).contains(&p50), "p50 = {p50}");
         let p100 = h.quantile(1.0).unwrap();
         assert!(p100 >= 100.0, "p100 = {p100}");
     }
@@ -774,6 +774,9 @@ mod tests {
     }
 
     #[test]
+    // `prop_assert!(a >= b)` negates a partial comparison on purpose: a
+    // NaN quantile must fail the property.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     fn histogram_quantile_at_bucket_boundaries() {
         use crate::check::{self};
         use crate::{prop_assert, prop_assert_eq};
@@ -839,6 +842,9 @@ mod tests {
     }
 
     #[test]
+    // `prop_assert!(a <= b)` negates a partial comparison on purpose: a
+    // NaN average must fail the property.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     fn time_weighted_across_window_seams() {
         use crate::check::{self};
         use crate::prop_assert;

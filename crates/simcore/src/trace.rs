@@ -1167,8 +1167,8 @@ mod tests {
             name: "job0".to_string(),
             buffer: sink.borrow().snapshot(),
         };
-        let one = chrome_trace_json(&[job.clone()]);
-        let two = chrome_trace_json(&[job.clone()]);
+        let one = chrome_trace_json(std::slice::from_ref(&job));
+        let two = chrome_trace_json(std::slice::from_ref(&job));
         assert_eq!(one, two, "serialization must be deterministic");
         assert_eq!(
             one,

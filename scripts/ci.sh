@@ -12,6 +12,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+# Lint gate: every target of every workspace crate, tests and benches
+# included, must be clippy-clean. A site that must stay as written (a
+# bit-pinned hot loop, a comparison that must fail on NaN) carries a
+# local #[allow] with its reason.
+echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 echo "==> bash -n on the bench scripts"
 bash -n scripts/bench.sh
 bash -n scripts/bench_ab.sh
