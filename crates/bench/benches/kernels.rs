@@ -309,9 +309,10 @@ fn bench_substrates(h: &mut Harness) {
                 let specs: Vec<edgelink::ClientSpec> = (0..clients)
                     .map(|i| edgelink::ClientSpec::mar_default(format!("c{i}")))
                     .collect();
-                edgelink::EdgeSim::new_traced(
+                edgelink::EdgeSim::new(
                     edgelink::LinkParams::wifi(),
                     edgelink::ServerParams::small(),
+                    None,
                     specs,
                     11,
                     simcore::trace::Tracer::disabled(),
@@ -336,10 +337,10 @@ fn bench_substrates(h: &mut Harness) {
             let specs: Vec<edgelink::ClientSpec> = (0..32)
                 .map(|i| edgelink::ClientSpec::mar_default(format!("c{i}")))
                 .collect();
-            edgelink::EdgeSim::new_shared_traced(
+            edgelink::EdgeSim::new(
                 edgelink::LinkParams::wifi(),
                 edgelink::ServerParams::small(),
-                edgelink::SharedCell::stadium(),
+                Some(edgelink::SharedCell::stadium()),
                 specs,
                 11,
                 simcore::trace::Tracer::disabled(),
@@ -365,7 +366,7 @@ fn bench_substrates(h: &mut Harness) {
                 edgelink::LinkParams::wifi(),
                 edgelink::RoutePolicy::ShortestQueue,
             );
-            edgelink::ClusterSim::new(params, sessions)
+            edgelink::ClusterSim::new(params, sessions, simcore::trace::Tracer::disabled())
         },
         |mut sim| {
             sim.run_for_secs(1.0);
@@ -387,7 +388,7 @@ fn bench_substrates(h: &mut Harness) {
             let mut params =
                 marsim::fleet::mar_cluster(spec.link, edgelink::RoutePolicy::ShortestQueue);
             params.radio = edgelink::ClusterRadio::Shared(marsim::fleet::mobility_medium());
-            edgelink::ClusterSim::new(params, sessions)
+            edgelink::ClusterSim::new(params, sessions, simcore::trace::Tracer::disabled())
         },
         |mut sim| {
             sim.run_for_secs(1.0);
@@ -410,7 +411,7 @@ fn bench_substrates(h: &mut Harness) {
             let sink = std::rc::Rc::new(std::cell::RefCell::new(
                 simcore::metrics::AggregatingSink::default(),
             ));
-            let sim = edgelink::ClusterSim::new_traced(
+            let sim = edgelink::ClusterSim::new(
                 params,
                 sessions,
                 simcore::trace::Tracer::with_sink(std::rc::Rc::clone(&sink)),

@@ -18,7 +18,7 @@
 
 use hbo_bench::{cli, harness};
 use hbo_core::HboConfig;
-use marsim::edge::sweep_cell_traced;
+use marsim::edge::sweep_cell;
 use marsim::runner::{job_seed, Observations};
 use marsim::{ScenarioSpec, TelemetrySummary};
 
@@ -65,7 +65,7 @@ fn main() {
         &cells,
         |&(clients, mbps)| format!("c{clients} {mbps}mbps"),
         |i, &(clients, mbps), tracer| {
-            sweep_cell_traced(&base, clients, mbps, &config, cell_seeds[i], tracer)
+            sweep_cell(&base, clients, mbps, &config, cell_seeds[i], tracer)
         },
     );
     for (rows, _) in &outcomes {

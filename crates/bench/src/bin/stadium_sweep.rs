@@ -29,7 +29,7 @@
 use edgelink::SharedCell;
 use hbo_bench::{cli, harness};
 use hbo_core::HboConfig;
-use marsim::edge::stadium_cell_traced;
+use marsim::edge::stadium_cell;
 use marsim::fleet::{run_mobility_cell_traced, FleetSpec};
 use marsim::runner::{job_seed, Observations};
 use marsim::{ScenarioSpec, TelemetrySummary};
@@ -74,9 +74,7 @@ fn main() {
         threads,
         &populations,
         |clients| format!("stadium c{clients}"),
-        |i, &clients, tracer| {
-            stadium_cell_traced(&base, cell, clients, &config, cell_seeds[i], tracer)
-        },
+        |i, &clients, tracer| stadium_cell(&base, cell, clients, &config, cell_seeds[i], tracer),
     );
     for (row, _) in &outcomes {
         println!("{row}");

@@ -458,23 +458,16 @@ impl ClusterSim {
     /// Builds the cluster world; each session's first submission is
     /// scheduled at its arrival time plus its deterministic jitter.
     ///
+    /// An enabled `tracer` gives each server a counter track for its
+    /// admission-queue depth, and in shared-radio mode each cell a track
+    /// carrying its per-direction utilization and active-flow counters.
+    /// Tracing never changes the simulation.
+    ///
     /// # Panics
     ///
     /// Panics if the params are invalid or a session departs at or
     /// before it arrives.
-    pub fn new(params: ClusterParams, sessions: Vec<SessionSpec>) -> Self {
-        Self::new_traced(params, sessions, Tracer::disabled())
-    }
-
-    /// Like [`ClusterSim::new`], but with a tracer: each server gets a
-    /// counter track for its admission-queue depth, and in shared-radio
-    /// mode each cell gets a track carrying its per-direction utilization
-    /// and active-flow counters.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ClusterSim::new`].
-    pub fn new_traced(params: ClusterParams, sessions: Vec<SessionSpec>, tracer: Tracer) -> Self {
+    pub fn new(params: ClusterParams, sessions: Vec<SessionSpec>, tracer: Tracer) -> Self {
         params.validate();
         let mut sim = Simulator::new();
         let start = sim.now();
@@ -1222,7 +1215,11 @@ mod tests {
     #[test]
     fn every_policy_completes_round_trips() {
         for policy in RoutePolicy::ALL {
-            let mut sim = ClusterSim::new(two_zone_params(policy), sessions(6, 10.0));
+            let mut sim = ClusterSim::new(
+                two_zone_params(policy),
+                sessions(6, 10.0),
+                Tracer::disabled(),
+            );
             sim.run_for_secs(10.0);
             assert!(
                 sim.metrics().completed() > 100,
@@ -1239,7 +1236,11 @@ mod tests {
     fn policies_are_deterministic_across_runs() {
         for policy in RoutePolicy::ALL {
             let run = || {
-                let mut sim = ClusterSim::new(two_zone_params(policy), sessions(5, 8.0));
+                let mut sim = ClusterSim::new(
+                    two_zone_params(policy),
+                    sessions(5, 8.0),
+                    Tracer::disabled(),
+                );
                 sim.run_for_secs(8.0);
                 (
                     sim.metrics().completed(),
@@ -1261,7 +1262,7 @@ mod tests {
         let mut params = two_zone_params(RoutePolicy::Locality);
         params.servers[0].params.queue_capacity = 64;
         let sess: Vec<SessionSpec> = (0..4).map(|i| session(i, 0, 8.0)).collect();
-        let mut sim = ClusterSim::new(params, sess);
+        let mut sim = ClusterSim::new(params, sess, Tracer::disabled());
         sim.run_for_secs(8.0);
         let (admitted_far, _, _) = sim.server_counters(1);
         assert_eq!(admitted_far, 0, "locality crossed zones needlessly");
@@ -1272,7 +1273,7 @@ mod tests {
     fn round_robin_spreads_offers_evenly() {
         let mut params = two_zone_params(RoutePolicy::RoundRobin);
         params.cross_zone_ms = 0.0;
-        let mut sim = ClusterSim::new(params, sessions(4, 10.0));
+        let mut sim = ClusterSim::new(params, sessions(4, 10.0), Tracer::disabled());
         sim.run_for_secs(10.0);
         let (a0, _, _) = sim.server_counters(0);
         let (a1, _, _) = sim.server_counters(1);
@@ -1311,7 +1312,7 @@ mod tests {
                 s
             })
             .collect();
-        let mut sim = ClusterSim::new(params, sess);
+        let mut sim = ClusterSim::new(params, sess, Tracer::disabled());
         sim.run_for_secs(10.0);
         let m = sim.metrics();
         assert!(m.dropped > 0, "expected drops under saturation");
@@ -1336,7 +1337,7 @@ mod tests {
         let mut sess = sessions(3, 4.0);
         sess[1].arrive_secs = 6.0;
         sess[1].depart_secs = 9.0;
-        let mut sim = ClusterSim::new(params, sess);
+        let mut sim = ClusterSim::new(params, sess, Tracer::disabled());
         sim.run_for_secs(5.0);
         // Sessions 0 and 2 departed at 4 s; session 1 not yet arrived.
         assert_eq!(sim.departed(), 2);
@@ -1363,7 +1364,7 @@ mod tests {
             let run = |order: &[usize]| {
                 let base = sessions(5, 8.0);
                 let sess: Vec<SessionSpec> = order.iter().map(|&i| base[i].clone()).collect();
-                let mut sim = ClusterSim::new(two_zone_params(policy), sess);
+                let mut sim = ClusterSim::new(two_zone_params(policy), sess, Tracer::disabled());
                 sim.run_for_secs(8.0);
                 let per: Vec<(u64, u64)> = (0..5)
                     .map(|s| (sim.session_completed(s), sim.session_dropped(s)))
@@ -1407,6 +1408,7 @@ mod tests {
         let mut sim = ClusterSim::new(
             shared_params(RoutePolicy::ShortestQueue, 0.0),
             sessions(6, 10.0),
+            Tracer::disabled(),
         );
         sim.run_for_secs(10.0);
         assert!(
@@ -1428,7 +1430,11 @@ mod tests {
         let run = |order: &[usize]| {
             let base = sessions(5, 8.0);
             let sess: Vec<SessionSpec> = order.iter().map(|&i| base[i].clone()).collect();
-            let mut sim = ClusterSim::new(shared_params(RoutePolicy::ShortestQueue, 0.0), sess);
+            let mut sim = ClusterSim::new(
+                shared_params(RoutePolicy::ShortestQueue, 0.0),
+                sess,
+                Tracer::disabled(),
+            );
             sim.run_for_secs(8.0);
             let per: Vec<u64> = (0..5).map(|s| sim.session_completed(s)).collect();
             (sim.metrics().completed(), per)
@@ -1461,7 +1467,7 @@ mod tests {
             walk_speed_mps: 12.0,
             area_m: 120.0,
         });
-        let mut sim = ClusterSim::new(params, sessions(8, 30.0));
+        let mut sim = ClusterSim::new(params, sessions(8, 30.0), Tracer::disabled());
         sim.run_for_secs(30.0);
         assert!(
             sim.handovers() > 0,

@@ -57,6 +57,7 @@ mod properties {
     //! Property tests for the link invariants (ISSUE 4, satellite b).
 
     use simcore::check::{self, f64s, u64s, usizes};
+    use simcore::trace::Tracer;
     use simcore::{prop_assert, prop_assert_eq};
 
     use crate::link::{plan_transfer, Direction, LinkParams};
@@ -67,7 +68,14 @@ mod properties {
         let clients = (0..n_clients)
             .map(|i| ClientSpec::mar_default(format!("c{i}")))
             .collect();
-        EdgeSim::new(link, ServerParams::small(), clients, seed)
+        EdgeSim::new(
+            link,
+            ServerParams::small(),
+            None,
+            clients,
+            seed,
+            Tracer::disabled(),
+        )
     }
 
     /// End-to-end latency is strictly positive and finite for every

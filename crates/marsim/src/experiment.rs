@@ -19,7 +19,7 @@ use crate::telemetry::TelemetrySummary;
 pub const CONTROL_PERIOD_SECS: f64 = 2.0;
 
 /// Warm-up time after the app starts before the first measurement.
-const WARMUP_SECS: f64 = 1.0;
+pub(crate) const WARMUP_SECS: f64 = 1.0;
 
 /// The outcome of one HBO activation.
 #[derive(Debug, Clone)]
@@ -72,28 +72,70 @@ pub fn run_hbo(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> HboRunResu
     run_hbo_traced(spec, config, seed, Tracer::disabled())
 }
 
-/// The `hbo control` track and its interned `"window"` span name.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HboTrack {
-    track: TrackId,
-    window: NameId,
+/// [`run_hbo`] with a tracer: the SoC simulation gets per-slot spans and
+/// queue counters, each control window gets an `"hbo"` `X` span, and the
+/// Bayesian optimizer gets per-suggest spans. A disabled tracer makes
+/// this bit-identical to [`run_hbo`] (tracing never touches the RNG
+/// streams or the measurement path).
+pub fn run_hbo_traced(
+    spec: &ScenarioSpec,
+    config: &HboConfig,
+    seed: u64,
+    tracer: Tracer,
+) -> HboRunResult {
+    let app = MarApp::new_traced(spec, tracer.clone());
+    run_activation(app, spec, config, seed, &tracer, None)
 }
 
-impl HboTrack {
-    /// Registers the track and interns the span name (both 0 when the
-    /// tracer is disabled).
-    pub(crate) fn register(tracer: &Tracer) -> Self {
-        HboTrack {
-            track: tracer.register_track("hbo", "hbo control"),
-            window: tracer.intern("window"),
-        }
+/// What one HBO activation steps and measures: the on-device app alone
+/// ([`MarApp`]) or the edge fleet around it ([`crate::EdgeWorld`]).
+pub(crate) trait Plant {
+    /// The on-device app (placement, warm-up, clock and scene ratio).
+    fn app_mut(&mut self) -> &mut MarApp;
+    /// The allocation currently applied, in task order.
+    fn allocation(&self) -> Vec<Delegate>;
+    /// Applies a full HBO configuration.
+    fn apply(&mut self, point: &HboPoint);
+    /// Runs one control period and returns its `(Q, ε)` and end time.
+    fn measure(&mut self, secs: f64) -> (f64, f64, SimTime);
+    /// Telemetry totals for the whole session.
+    fn telemetry(&self) -> TelemetrySummary;
+}
+
+impl Plant for MarApp {
+    fn app_mut(&mut self) -> &mut MarApp {
+        self
     }
+
+    fn allocation(&self) -> Vec<Delegate> {
+        MarApp::allocation(self)
+    }
+
+    fn apply(&mut self, point: &HboPoint) {
+        MarApp::apply(self, point);
+    }
+
+    fn measure(&mut self, secs: f64) -> (f64, f64, SimTime) {
+        let m = self.measure_for_secs(secs);
+        (m.quality, m.epsilon, m.at)
+    }
+
+    fn telemetry(&self) -> TelemetrySummary {
+        MarApp::telemetry(self)
+    }
+}
+
+/// The `hbo control` track and its interned `"window"` span name.
+#[derive(Debug, Clone, Copy)]
+struct HboTrack {
+    track: TrackId,
+    window: NameId,
 }
 
 /// Emits the control-loop span of one completed HBO window: an `X` span
 /// covering the measurement period, carrying the iteration index, the
 /// applied configuration, and the measured `(Q, ε, φ)`.
-pub(crate) fn trace_hbo_window(
+fn trace_hbo_window(
     tracer: &Tracer,
     hbo: HboTrack,
     iter: usize,
@@ -122,23 +164,9 @@ pub(crate) fn trace_hbo_window(
     );
 }
 
-/// [`run_hbo`] with a tracer: the SoC simulation gets per-slot spans and
-/// queue counters, each control window gets an `"hbo"` `X` span, and the
-/// Bayesian optimizer gets per-suggest spans. A disabled tracer makes
-/// this bit-identical to [`run_hbo`] (tracing never touches the RNG
-/// streams or the measurement path).
-pub fn run_hbo_traced(
-    spec: &ScenarioSpec,
-    config: &HboConfig,
-    seed: u64,
-    tracer: Tracer,
-) -> HboRunResult {
-    run_hbo_inner(spec, config, seed, tracer, None)
-}
-
 /// Turns a cached converged configuration into a concrete seed window
 /// point (mirrors how `HboController` lays out `z = c ++ [x]`).
-pub(crate) fn point_from_stored(stored: &StoredConfig) -> HboPoint {
+fn point_from_stored(stored: &StoredConfig) -> HboPoint {
     let mut z = stored.c.clone();
     z.push(stored.x);
     HboPoint {
@@ -149,58 +177,63 @@ pub(crate) fn point_from_stored(stored: &StoredConfig) -> HboPoint {
     }
 }
 
-/// The shared activation driver behind [`run_hbo_traced`] and
-/// [`run_hbo_warm`]. `warm_seed` (when present) is observed as one extra
-/// seeded window right after the incumbent, feeding the cached converged
-/// configuration into the BO dataset without touching the RNG stream.
-fn run_hbo_inner(
+/// The one activation driver (Algorithm 1) behind every HBO entry point:
+/// place every object, warm up, measure the incumbent, then suggest,
+/// apply, measure and observe until the budget is spent. `warm_seed`
+/// (when present) is observed as one extra seeded window right after the
+/// incumbent, feeding the cached converged configuration into the BO
+/// dataset without touching the RNG stream.
+///
+/// The caller builds `plant` with `tracer` installed; the `hbo control`
+/// track is registered after the plant's own tracks, so every export
+/// keeps its track order.
+pub(crate) fn run_activation<P: Plant>(
+    mut plant: P,
     spec: &ScenarioSpec,
     config: &HboConfig,
     seed: u64,
-    tracer: Tracer,
+    tracer: &Tracer,
     warm_seed: Option<&StoredConfig>,
 ) -> HboRunResult {
-    let mut app = MarApp::new_traced(spec, tracer.clone());
-    let hbo_track = HboTrack::register(&tracer);
+    let hbo_track = HboTrack {
+        track: tracer.register_track("hbo", "hbo control"),
+        window: tracer.intern("window"),
+    };
+    let app = plant.app_mut();
     app.place_all_objects();
     app.run_for_secs(WARMUP_SECS);
+    let ratio = app.scene().overall_ratio().min(1.0);
     let mut hbo = HboController::new(spec.profiles(), config.clone());
     hbo.set_tracer(tracer.clone());
     let mut rng = simcore::rand::StdRng::seed_from_u64(seed);
+    let window = |plant: &mut P, hbo: &mut HboController, point: HboPoint| {
+        plant.apply(&point);
+        let start = plant.app_mut().now();
+        let (quality, epsilon, end) = plant.measure(CONTROL_PERIOD_SECS);
+        hbo.observe(point, quality, epsilon);
+        let iter = hbo.completed_iterations() - 1;
+        trace_hbo_window(tracer, hbo_track, iter, start, end, &hbo.records()[iter]);
+    };
     // Seed the dataset with the configuration already running (the static
     // best-isolated allocation at the app's current ratio): the chosen
     // "best" can then never regress below the incumbent.
-    let incumbent = hbo.incumbent_point(app.allocation(), app.scene().overall_ratio().min(1.0));
-    app.apply(&incumbent);
-    let start = app.now();
-    let m = app.measure_for_secs(CONTROL_PERIOD_SECS);
-    hbo.observe(incumbent, m.quality, m.epsilon);
-    trace_hbo_window(&tracer, hbo_track, 0, start, m.at, &hbo.records()[0]);
-    let mut seeded_windows = 1u64; // the incumbent costs no suggest call
+    let incumbent = hbo.incumbent_point(plant.allocation(), ratio);
+    window(&mut plant, &mut hbo, incumbent);
     if let Some(stored) = warm_seed {
-        let point = point_from_stored(stored);
-        app.apply(&point);
-        let start = app.now();
-        let m = app.measure_for_secs(CONTROL_PERIOD_SECS);
-        hbo.observe(point, m.quality, m.epsilon);
-        trace_hbo_window(&tracer, hbo_track, 1, start, m.at, &hbo.records()[1]);
-        seeded_windows += 1;
+        window(&mut plant, &mut hbo, point_from_stored(stored));
     }
+    // The incumbent and the warm seed cost no suggest call.
+    let seeded_windows = hbo.completed_iterations() as u64;
     while !hbo.is_done() {
-        hbo.set_trace_now(app.now());
+        hbo.set_trace_now(plant.app_mut().now());
         let point = hbo.next_point(&mut rng);
-        app.apply(&point);
-        let start = app.now();
-        let m = app.measure_for_secs(CONTROL_PERIOD_SECS);
-        hbo.observe(point, m.quality, m.epsilon);
-        let iter = hbo.completed_iterations() - 1;
-        trace_hbo_window(&tracer, hbo_track, iter, start, m.at, &hbo.records()[iter]);
+        window(&mut plant, &mut hbo, point);
     }
     let best = hbo
         .best()
         .expect("activation ran at least one iteration")
         .clone();
-    let mut telemetry = app.telemetry();
+    let mut telemetry = plant.telemetry();
     telemetry.bo_suggests = hbo.completed_iterations() as u64 - seeded_windows;
     HboRunResult {
         scenario: spec.name.clone(),
@@ -240,7 +273,7 @@ pub struct WarmRunResult {
 /// Applies [`BoConfig::warm_default`]'s cheaper optimizer settings and a
 /// minimal random design to a config whose dataset starts with a cached
 /// converged seed.
-pub(crate) fn warm_variant(config: &HboConfig) -> HboConfig {
+fn warm_variant(config: &HboConfig) -> HboConfig {
     let warm = BoConfig::warm_default();
     let mut out = config.clone();
     out.bo.n_candidates = warm.n_candidates;
@@ -254,7 +287,7 @@ pub(crate) fn warm_variant(config: &HboConfig) -> HboConfig {
 
 /// True when a cached configuration fits the scenario's decision space
 /// (a 3-simplex seed cannot warm a 4-simplex session or vice versa).
-pub(crate) fn seed_fits(stored: &StoredConfig, spec: &ScenarioSpec) -> bool {
+fn seed_fits(stored: &StoredConfig, spec: &ScenarioSpec) -> bool {
     let dim = if spec.profiles().iter().any(|p| p.supports(Delegate::Edge)) {
         Delegate::COUNT
     } else {
@@ -298,16 +331,19 @@ pub fn run_hbo_warm_keyed(
         .filter(|s| seed_fits(s, spec))
         .cloned();
     let warm_hit = seed_config.is_some();
-    let mut run = match &seed_config {
-        Some(stored) => run_hbo_inner(
-            spec,
-            &warm_variant(config),
-            seed,
-            Tracer::disabled(),
-            Some(stored),
-        ),
-        None => run_hbo_inner(spec, config, seed, Tracer::disabled(), None),
+    let config = if warm_hit {
+        warm_variant(config)
+    } else {
+        config.clone()
     };
+    let mut run = run_activation(
+        MarApp::new(spec),
+        spec,
+        &config,
+        seed,
+        &Tracer::disabled(),
+        seed_config.as_ref(),
+    );
     run.telemetry.warm_hits = warm_hit as u64;
     run.telemetry.warm_misses = !warm_hit as u64;
     cache.store(
@@ -348,23 +384,11 @@ impl BaselineOutcome {
 
 /// Applies a fixed configuration to a fresh app and measures it over an
 /// extended window.
-fn evaluate_fixed(
-    spec: &ScenarioSpec,
-    allocation: &[Delegate],
-    x: f64,
-    uniform_decimation: bool,
-) -> Measurement {
+fn evaluate_fixed(spec: &ScenarioSpec, allocation: &[Delegate], x: f64) -> Measurement {
     let mut app = MarApp::new(spec);
     app.place_all_objects();
     app.set_allocation(allocation);
-    if uniform_decimation {
-        // SML-style naive reduction (no sensitivity weighting).
-        let mut scene_ratio = x;
-        scene_ratio = scene_ratio.clamp(0.0, 1.0);
-        app.set_uniform_ratio(scene_ratio);
-    } else {
-        app.set_triangle_ratio(x);
-    }
+    app.set_triangle_ratio(x);
     app.run_for_secs(WARMUP_SECS);
     app.measure_for_secs(2.0 * CONTROL_PERIOD_SECS)
 }
@@ -379,12 +403,7 @@ pub fn compare_baselines(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> 
     let mut outcomes = Vec::new();
 
     // HBO: re-apply the chosen configuration and measure it fresh.
-    let hbo_measure = evaluate_fixed(
-        spec,
-        &hbo_run.best.point.allocation,
-        hbo_run.best.point.x,
-        false,
-    );
+    let hbo_measure = evaluate_fixed(spec, &hbo_run.best.point.allocation, hbo_run.best.point.x);
     outcomes.push(BaselineOutcome {
         baseline: Baseline::Hbo,
         allocation: hbo_run.best.point.allocation.clone(),
@@ -393,7 +412,7 @@ pub fn compare_baselines(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> 
     });
 
     // SMQ: HBO's triangle ratio (same TD), static allocation.
-    let smq = evaluate_fixed(spec, &static_alloc, hbo_run.best.point.x, false);
+    let smq = evaluate_fixed(spec, &static_alloc, hbo_run.best.point.x);
     outcomes.push(BaselineOutcome {
         baseline: Baseline::Smq,
         allocation: static_alloc.clone(),
@@ -408,7 +427,7 @@ pub fn compare_baselines(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> 
     // (GPU-affine tasks sharing the GPU among themselves), so the sweep is
     // bounded below by R_min and settles at the largest ratio whose
     // latency meets the achievable target.
-    let floor = evaluate_fixed(spec, &static_alloc, config.r_min, false);
+    let floor = evaluate_fixed(spec, &static_alloc, config.r_min);
     let target_eps = hbo_measure.epsilon.max(floor.epsilon) * 1.05;
     let mut lo = config.r_min;
     let mut hi = 1.0;
@@ -416,7 +435,7 @@ pub fn compare_baselines(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> 
     let mut sml_measure = floor;
     for _ in 0..7 {
         let mid = 0.5 * (lo + hi);
-        let m = evaluate_fixed(spec, &static_alloc, mid, false);
+        let m = evaluate_fixed(spec, &static_alloc, mid);
         if m.epsilon <= target_eps {
             // Latency target met: try to keep more quality.
             sml_x = mid;
@@ -440,7 +459,7 @@ pub fn compare_baselines(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> 
         ..config.clone()
     };
     let bnt_run = run_hbo(spec, &bnt_config, seed ^ 0x517c_c1b7_2722_0a95);
-    let bnt_measure = evaluate_fixed(spec, &bnt_run.best.point.allocation, 1.0, false);
+    let bnt_measure = evaluate_fixed(spec, &bnt_run.best.point.allocation, 1.0);
     outcomes.push(BaselineOutcome {
         baseline: Baseline::Bnt,
         allocation: bnt_run.best.point.allocation.clone(),
@@ -450,7 +469,7 @@ pub fn compare_baselines(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> 
 
     // AllN: everything on NNAPI (when compatible), full quality.
     let alln = all_nnapi_allocation(&profiles);
-    let alln_measure = evaluate_fixed(spec, &alln, 1.0, false);
+    let alln_measure = evaluate_fixed(spec, &alln, 1.0);
     outcomes.push(BaselineOutcome {
         baseline: Baseline::AllN,
         allocation: alln,
@@ -529,7 +548,7 @@ mod tests {
         let spec = ScenarioSpec::sc1_cf1();
         let config = quick_config();
         let run = run_hbo(&spec, &config, 3);
-        let alln = evaluate_fixed(&spec, &all_nnapi_allocation(&spec.profiles()), 1.0, false);
+        let alln = evaluate_fixed(&spec, &all_nnapi_allocation(&spec.profiles()), 1.0);
         let hbo_reward = hbo_core::reward(run.best.quality, run.best.epsilon, config.w);
         let alln_reward = alln.reward(config.w);
         assert!(

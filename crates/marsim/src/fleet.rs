@@ -348,7 +348,7 @@ pub fn run_fleet_cell_traced(
     let client_windows = spec.client_windows(&sessions);
     let params = mar_cluster(spec.link, policy);
     let server_count = params.servers.len();
-    let mut sim = ClusterSim::new_traced(params, sessions, tracer);
+    let mut sim = ClusterSim::new(params, sessions, tracer);
     sim.run_for_secs(spec.horizon_secs);
     let m = sim.metrics();
     let mut servers = String::from("[");
@@ -385,20 +385,27 @@ pub fn run_fleet_cell_traced(
         .f64("busy_lanes", sim.total_avg_busy_lanes(), 6)
         .raw("servers", &servers)
         .finish();
-    let telemetry = TelemetrySummary {
-        edge_rejected: m.reject_events,
-        edge_retransmits: m.retransmits,
-        edge_peak_queue: sim.peak_queue(),
-        cluster_dropped: m.dropped,
-        cluster_handovers: sim.handovers(),
-        medium_reallocs: sim.medium_reallocs(),
-        ..TelemetrySummary::default()
-    };
+    cell_result(&sim, row)
+}
+
+/// Packs a finished cluster cell's rendered row with its totals: the
+/// cluster counters folded into the shared telemetry shape, completions
+/// and the pooled mean latency.
+fn cell_result(sim: &ClusterSim, row: String) -> FleetCellResult {
+    let m = sim.metrics();
     FleetCellResult {
         row,
+        telemetry: TelemetrySummary {
+            edge_rejected: m.reject_events,
+            edge_retransmits: m.retransmits,
+            edge_peak_queue: sim.peak_queue(),
+            cluster_dropped: m.dropped,
+            cluster_handovers: sim.handovers(),
+            medium_reallocs: sim.medium_reallocs(),
+            ..TelemetrySummary::default()
+        },
         completed: m.completed(),
         mean_ms: m.mean_ms(),
-        telemetry,
     }
 }
 
@@ -437,7 +444,7 @@ pub fn run_mobility_cell_traced(spec: &FleetSpec, seed: u64, tracer: Tracer) -> 
     let session_count = sessions.len();
     let mut params = mar_cluster(spec.link, RoutePolicy::ShortestQueue);
     params.radio = ClusterRadio::Shared(mobility_medium());
-    let mut sim = ClusterSim::new_traced(params, sessions, tracer);
+    let mut sim = ClusterSim::new(params, sessions, tracer);
     sim.run_for_secs(spec.horizon_secs);
     let m = sim.metrics();
     let row = JsonRow::new("stadium_mobility")
@@ -453,21 +460,7 @@ pub fn run_mobility_cell_traced(spec: &FleetSpec, seed: u64, tracer: Tracer) -> 
         .opt_ms("mean_ms", m.mean_ms())
         .u64("retransmits", m.retransmits)
         .finish();
-    let telemetry = TelemetrySummary {
-        edge_rejected: m.reject_events,
-        edge_retransmits: m.retransmits,
-        edge_peak_queue: sim.peak_queue(),
-        cluster_dropped: m.dropped,
-        cluster_handovers: sim.handovers(),
-        medium_reallocs: sim.medium_reallocs(),
-        ..TelemetrySummary::default()
-    };
-    FleetCellResult {
-        row,
-        completed: m.completed(),
-        mean_ms: m.mean_ms(),
-        telemetry,
-    }
+    cell_result(&sim, row)
 }
 
 /// The fleet-cache identity of one device class: device fingerprint, its
@@ -557,7 +550,7 @@ pub fn run_class_plan(
         .map(|d| d.letter())
         .collect();
     let row = JsonRow::new("fleet_plan")
-        .str("class", &class.name)
+        .str("class", class.name)
         .u64("fleet", spec.target_sessions as u64)
         .bool("warm", result.warm_hit)
         .u64("windows", run.records.len() as u64)

@@ -57,10 +57,7 @@ pub mod timeline;
 pub mod userstudy;
 
 pub use app::{task_period_ms, MarApp, Measurement, TASK_GAP_MS, TASK_JITTER_MS, TASK_PERIOD_MS};
-pub use edge::{
-    run_edge_hbo_warm, stadium_cell, stadium_cell_traced, EdgeMeasurement, EdgeSpec,
-    EdgeSystemOutcome, EdgeWorld,
-};
+pub use edge::{stadium_cell, EdgeMeasurement, EdgeSpec, EdgeSystemOutcome, EdgeWorld};
 pub use experiment::{
     run_hbo_warm, run_hbo_warm_keyed, scenario_signature, BaselineOutcome, ExperimentResult,
     HboRunResult, WarmRunResult,
